@@ -57,8 +57,9 @@
  * A fifth mode, --memory, is the reclamation gate: it drives every
  * AeroDrome engine over the rolling stream (gen/rolling_stream.hpp —
  * thread churn + hot-window drift, the unbounded-stream model) once
- * with gc off and once with gc on, writes BENCH_memory.json
- * (events/s, footprint at the midpoint and the end, bytes per live
+ * with gc off (set_gc(false), the reference path) and once with its
+ * default gc on, writes BENCH_memory.json (hardware_concurrency,
+ * events/s, footprint at the midpoint and the end, bytes per live
  * clock entry, reclamation counters), and fails if the gc-on footprint
  * is not flat (end > 1.15x midpoint) or if reclamation costs more than
  * 5% throughput against the gc-off run of the same engine.
@@ -678,7 +679,7 @@ append_memory_row(std::string& json, const MemoryRow& r, double evs,
 {
     const uint64_t live =
         counter_value(r.counters, "gc_live_entries");
-    char buf[640];
+    char buf[704];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"engine\": \"%s\", \"gc\": %s, \"events\": %llu, "
@@ -686,7 +687,8 @@ append_memory_row(std::string& json, const MemoryRow& r, double evs,
         "\"memory_mid_bytes\": %zu, \"memory_end_bytes\": %zu, "
         "\"flat_ratio\": %.3f, \"bytes_per_live_entry\": %.1f, "
         "\"gc_overhead_pct\": %.2f, "
-        "\"gc_sweeps\": %llu, \"gc_reclaimed\": %llu, "
+        "\"gc_sweeps\": %llu, \"gc_walks_skipped\": %llu, "
+        "\"gc_reclaimed\": %llu, "
         "\"gc_rows_freed\": %llu, \"gc_live_entries\": %llu, "
         "\"slots_retired\": %llu, \"slots_recycled\": %llu}%s\n",
         r.engine.c_str(), r.gc ? "true" : "false",
@@ -697,6 +699,8 @@ append_memory_row(std::string& json, const MemoryRow& r, double evs,
         overhead_pct,
         static_cast<unsigned long long>(
             counter_value(r.counters, "gc_sweeps")),
+        static_cast<unsigned long long>(
+            counter_value(r.counters, "gc_walks_skipped")),
         static_cast<unsigned long long>(
             counter_value(r.counters, "gc_reclaimed")),
         static_cast<unsigned long long>(
@@ -780,11 +784,13 @@ run_memory_bench(const Args& args)
                 with_commas(n).c_str(), so.churn_every, so.drift_every);
 
     std::string json = "{\n";
-    char head[256];
+    char head[320];
     std::snprintf(head, sizeof(head),
+                  "  \"hardware_concurrency\": %u,\n"
                   "  \"events\": %llu, \"workers\": %u, "
                   "\"churn_every\": %u, \"drift_every\": %u, "
                   "\"vars\": %u, \"hot_window\": %u,\n  \"rows\": [\n",
+                  std::thread::hardware_concurrency(),
                   static_cast<unsigned long long>(n), so.workers,
                   so.churn_every, so.drift_every, so.vars, so.hot_window);
     json += head;

@@ -11,8 +11,7 @@
  *   aerocheck <trace[.bin]> [--engine NAME] [--budget SECONDS]
  *             [--shards N] [--merge-epoch K|end] [--no-merge-barriers]
  *             [--batch N] [--ingest-block N] [--pin] [--resync]
- *             [--watchdog MS] [--gc=on|off] [--validate] [--stats]
- *             [--witness]
+ *             [--watchdog MS] [--validate] [--stats] [--witness]
  *
  * The trace format is sniffed from the AEROTRC1 magic, not the file
  * extension (the ".bin" suffix only breaks ties for files too short to
@@ -42,10 +41,6 @@
  *             --batch sized blocks instead. Echoed by --stats
  *   --pin:    pin shard worker s to core s mod hardware_concurrency
  *             (Linux; no-op elsewhere or single-engine)
- *   --gc:     force clock-entry reclamation and thread-slot recycling on
- *             or off for this run (default: the AERO_GC env, else off);
- *             verdicts are identical either way, memory is not —
- *             long-running streams with thread churn need gc on
  *   --resync: skip corrupt records and keep checking (the verdict
  *             degrades to "no violation found", exit 5, when records
  *             were skipped) instead of stopping at the first one
@@ -56,7 +51,10 @@
  *   --validate: run the well-formedness validator first (loads the
  *               trace into memory)
  *   --stats: print engine-specific statistics after the run (per shard
- *            plus totals when sharded)
+ *            plus totals when sharded), with a reclamation line for the
+ *            engines that reclaim: clock-entry GC and thread-slot
+ *            recycling are always on, so memory tracks the live state
+ *            on long streams with thread churn
  *   --witness: on a violation, reconstruct and print a witness cycle
  *              (one offending SCC of the transaction graph over the
  *              prefix up to the violating event; loads the trace)
@@ -114,7 +112,6 @@ struct Args {
     bool pin_workers = false;
     bool resync = false;
     uint32_t watchdog_ms = 0;
-    int gc = -1; // -1: engine default (AERO_GC env), 0/1: forced
     bool validate_first = false;
     bool stats = false;
     bool witness = false;
@@ -192,7 +189,7 @@ usage(const char* argv0)
                  "[--shards N] [--merge-epoch K|end] "
                  "[--no-merge-barriers] [--batch N] [--ingest-block N] "
                  "[--pin] [--resync] "
-                 "[--watchdog MS] [--gc=on|off] [--validate] [--stats]\n"
+                 "[--watchdog MS] [--validate] [--stats] [--witness]\n"
                  "engines: aerodrome aerodrome-tuned aerodrome-readopt "
                  "aerodrome-basic velodrome velodrome-pk\n",
                  argv0);
@@ -232,24 +229,21 @@ print_gc_block(const StatList& counters)
             }
         return false;
     };
-    uint64_t sweeps = 0, reclaimed = 0, rows = 0, live = 0, retired = 0,
-             recycled = 0;
+    uint64_t sweeps = 0, skipped = 0, reclaimed = 0, rows = 0, live = 0,
+             retired = 0, recycled = 0;
     if (!get("gc_sweeps", sweeps))
         return;
+    get("gc_walks_skipped", skipped);
     get("gc_reclaimed", reclaimed);
     get("gc_rows_freed", rows);
     get("gc_live_entries", live);
     get("slots_retired", retired);
     get("slots_recycled", recycled);
-    if (sweeps == 0 && retired == 0) {
-        std::printf("  reclamation: off (nothing retired or swept; "
-                    "--gc=on or AERO_GC=1 to enable)\n");
-        return;
-    }
-    std::printf("  reclamation: %s sweeps, %s entries reclaimed, %s "
-                "rows freed, %s live entries after the last sweep, "
-                "%s thread slots retired (%s reissued)\n",
-                with_commas(sweeps).c_str(),
+    std::printf("  reclamation: %s sweeps (%s table walks skipped on a "
+                "pinned frontier), %s entries reclaimed, %s rows freed, "
+                "%s live entries after the last walk, %s thread slots "
+                "retired (%s reissued)\n",
+                with_commas(sweeps).c_str(), with_commas(skipped).c_str(),
                 with_commas(reclaimed).c_str(), with_commas(rows).c_str(),
                 with_commas(live).c_str(), with_commas(retired).c_str(),
                 with_commas(recycled).c_str());
@@ -349,10 +343,6 @@ main(int argc, char** argv)
             if (!parse_bounded(argv[++i], 0, 3600ul * 1000, v))
                 return usage(argv[0]);
             args.watchdog_ms = static_cast<uint32_t>(v);
-        } else if (a == "--gc=on" || a == "--gc=1") {
-            args.gc = 1;
-        } else if (a == "--gc=off" || a == "--gc=0") {
-            args.gc = 0;
         } else if (a == "--validate") {
             args.validate_first = true;
         } else if (a == "--stats") {
@@ -375,8 +365,6 @@ main(int argc, char** argv)
         std::fprintf(stderr, "unknown engine '%s'\n", args.engine.c_str());
         return usage(argv[0]);
     }
-    if (args.gc >= 0)
-        checker->set_gc(args.gc == 1);
 
     // Contain engine panics as a structured internal-error outcome (exit
     // 6 with context) instead of an abort, and arm any AERO_FAULT_PLAN
@@ -445,12 +433,7 @@ main(int argc, char** argv)
             sopts.watchdog_ms = args.watchdog_ms;
             sopts.budget = budget;
             sharded = run_sharded(
-                [&args] {
-                    auto e = make_engine(args.engine);
-                    if (args.gc >= 0)
-                        e->set_gc(args.gc == 1);
-                    return e;
-                },
+                [&args] { return make_engine(args.engine); },
                 *source, sopts);
             r = sharded->result;
         } else {

@@ -12,7 +12,9 @@ AeroDromeBasic::AeroDromeBasic(uint32_t num_threads, uint32_t num_vars,
     c_.ensure_rows(num_threads);
     cb_.ensure_rows(num_threads);
     c_pure_.assign(num_threads, 1);
+    tags_.ensure(num_threads);
     cb_pure_.assign(num_threads, 1);
+    r_vars_.resize(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
         c_[t].set(t, 1); // C_t := bot[1/t]
     if (num_vars > 0)
@@ -92,7 +94,9 @@ AeroDromeBasic::ensure_thread(ThreadId t)
         c_.ensure_rows(n);
         cb_.ensure_rows(n);
         c_pure_.resize(n, 1);
+        tags_.ensure(n);
         cb_pure_.resize(n, 1);
+        r_vars_.resize(n);
         for (size_t u = old; u < n; ++u)
             c_[u].set(u, 1);
         txns_.ensure(static_cast<uint32_t>(n));
@@ -108,7 +112,7 @@ AeroDromeBasic::ensure_var(VarId x)
         w_slot_.push_back(kNoSlot);
         r_slot_.emplace_back();
         orphan_r_.emplace_back();
-        last_w_thr_.push_back(kNoThread);
+        last_w_.push_back(SlotTags::kNone);
     }
 }
 
@@ -125,7 +129,7 @@ AeroDromeBasic::ensure_lock(LockId l)
 {
     while (l >= lock_slot_.size()) {
         lock_slot_.push_back(tbl_.add_entry());
-        last_rel_thr_.push_back(kNoThread);
+        last_rel_.push_back(SlotTags::kNone);
     }
 }
 
@@ -135,8 +139,10 @@ AeroDromeBasic::reader_slot(VarId x, ThreadId t)
     auto& slots = r_slot_[x];
     if (t >= slots.size())
         slots.resize(t + 1, kNoSlot);
-    if (slots[t] == kNoSlot)
+    if (slots[t] == kNoSlot) {
         slots[t] = tbl_.add_entry_reusable();
+        r_vars_[t].push_back(x);
+    }
     return slots[t];
 }
 
@@ -261,14 +267,15 @@ AeroDromeBasic::process(const Event& e, size_t index)
         if (txns_.on_end(t)) {
             if (handle_end(t, index))
                 return true;
-            if (gc_)
-                maybe_gc_sweep();
+            if (gc_ &&
+                sweeper_.maybe_sweep(tbl_, c_, slots_.bindings(), txns_))
+                recycle_dead_orphans();
         }
         return false;
 
       case Op::kAcquire: {
         ensure_lock(target);
-        if (last_rel_thr_[target] != t) {
+        if (last_rel_[target] != tags_[t]) {
             return check_and_get_entry(lock_slot_[target], t, index,
                                        "acquire saw conflicting release");
         }
@@ -278,7 +285,7 @@ AeroDromeBasic::process(const Event& e, size_t index)
       case Op::kRelease:
         ensure_lock(target);
         tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
-        last_rel_thr_[target] = t;
+        last_rel_[target] = tags_[t];
         return false;
 
       case Op::kFork: {
@@ -304,7 +311,7 @@ AeroDromeBasic::process(const Event& e, size_t index)
 
       case Op::kRead: {
         ensure_var(target);
-        if (last_w_thr_[target] != t) {
+        if (last_w_[target] != tags_[t]) {
             if (check_and_get_entry(w_slot(target), t, index,
                                     "read saw conflicting write")) {
                 return true;
@@ -317,7 +324,7 @@ AeroDromeBasic::process(const Event& e, size_t index)
 
       case Op::kWrite: {
         ensure_var(target);
-        if (last_w_thr_[target] != t) {
+        if (last_w_[target] != tags_[t]) {
             if (check_and_get_entry(w_slot(target), t, index,
                                     "write saw conflicting write")) {
                 return true;
@@ -341,7 +348,7 @@ AeroDromeBasic::process(const Event& e, size_t index)
             }
         }
         tbl_.assign(w_slot(target), c_[t], t, pure_of(t));
-        last_w_thr_[target] = t;
+        last_w_[target] = tags_[t];
         return false;
       }
     }
@@ -353,31 +360,24 @@ AeroDromeBasic::retire_slot(uint32_t s)
 {
     if (txns_.active(s))
         return; // ill-formed join mid-transaction: leak the row, stay safe
-    // Scrub cached same-owner facts: the reissued thread must not inherit
-    // the dead thread's check-skipping rights.
-    for (ThreadId& r : last_rel_thr_) {
-        if (r == s)
-            r = kNoThread;
-    }
-    for (ThreadId& w : last_w_thr_) {
-        if (w == s)
-            w = kNoThread;
-    }
+    // Expire the dead thread's last-writer and last-releaser facts: the
+    // reissued thread must not inherit its check-skipping rights.
+    tags_.retire(s);
     // Detach the dead thread's R_{s,x} entries so the reissued thread
     // starts with none. A still-live entry becomes a per-var orphan —
     // writers keep checking it (Algorithm 1 checks every reader of x)
     // until a sweep proves it dead; an already-bottom one (reclaimed by
     // an earlier sweep) hands its index back immediately.
-    for (VarId x = 0; x < r_slot_.size(); ++x) {
-        auto& slots = r_slot_[x];
-        if (s >= slots.size() || slots[s] == kNoSlot)
-            continue;
-        if (tbl_.is_bottom(slots[s]))
-            tbl_.gc_recycle_index(slots[s]);
+    stats_.retire_visited += r_vars_[s].size();
+    for (VarId x : r_vars_[s]) {
+        uint32_t& slot = r_slot_[x][s];
+        if (tbl_.is_bottom(slot))
+            tbl_.gc_recycle_index(slot);
         else
-            orphan_r_[x].push_back(slots[s]);
-        slots[s] = kNoSlot;
+            orphan_r_[x].push_back(slot);
+        slot = kNoSlot;
     }
+    r_vars_[s].clear();
     // Continue the clock one past every value the dead thread minted, so
     // reissued begin gates exceed every stale epoch still naming this row.
     const ClockValue v = c_[s].get(s);
@@ -391,21 +391,8 @@ AeroDromeBasic::retire_slot(uint32_t s)
 }
 
 void
-AeroDromeBasic::gc_sweep_now()
+AeroDromeBasic::recycle_dead_orphans()
 {
-    gcf_.reset(c_.dim());
-    const std::vector<ThreadId>& bound = slots_.bindings();
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread)
-            gcf_.accumulate(c_[s]);
-    }
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread && txns_.active(s))
-            gcf_.cap_active(s, c_[s].get(s));
-    }
-    gc_live_entries_ = tbl_.gc_sweep(gcf_);
-    // Orphans the sweep reset to bottom can never gate again: drop them
-    // from the writers' check lists and recycle their indices.
     for (auto& orphans : orphan_r_) {
         size_t keep = 0;
         for (uint32_t i : orphans) {
@@ -416,23 +403,6 @@ AeroDromeBasic::gc_sweep_now()
         }
         orphans.resize(keep);
     }
-    ++gc_sweeps_;
-    gc_rows_baseline_ = tbl_.arena_rows_live();
-    gc_ends_ = 0;
-}
-
-void
-AeroDromeBasic::maybe_gc_sweep()
-{
-    if (gc_sweep_every_ != 0) {
-        if (++gc_ends_ >= gc_sweep_every_)
-            gc_sweep_now();
-        return;
-    }
-    // Growth trigger: the live arena doubled since the last sweep.
-    const size_t rows = tbl_.arena_rows_live();
-    if (rows >= 128 && rows >= 2 * gc_rows_baseline_)
-        gc_sweep_now();
 }
 
 StatList
@@ -450,8 +420,9 @@ AeroDromeBasic::counters() const
         {"end_gate_skipped", stats_.end_gate_skipped},
         {"gc_reclaimed", es.gc_reclaimed},
         {"gc_rows_freed", es.gc_rows_freed},
-        {"gc_sweeps", gc_sweeps_},
-        {"gc_live_entries", gc_live_entries_},
+        {"gc_sweeps", sweeper_.sweeps()},
+        {"gc_walks_skipped", sweeper_.walks_skipped()},
+        {"gc_live_entries", sweeper_.live_entries()},
         {"slots_retired", slots_.retired()},
         {"slots_recycled", slots_.recycled()},
     };
@@ -467,9 +438,11 @@ AeroDromeBasic::memory_bytes() const
     for (const auto& orphans : orphan_r_)
         n += orphans.capacity() * sizeof(uint32_t);
     n += c_pure_.capacity() + cb_pure_.capacity();
-    n += (last_rel_thr_.capacity() + last_w_thr_.capacity()) *
-         sizeof(ThreadId);
-    n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
+    for (const auto& vars : r_vars_)
+        n += vars.capacity() * sizeof(VarId);
+    n += (last_rel_.capacity() + last_w_.capacity()) * sizeof(uint64_t);
+    n += slots_.memory_bytes() + tags_.memory_bytes() +
+         sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

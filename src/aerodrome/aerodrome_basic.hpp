@@ -66,6 +66,10 @@ struct AeroDromeStats {
     /** Visited entries whose propagation gate was false (enrollment is an
      *  over-approximation; a full sweep skips most of the table). */
     RelaxedCounter end_gate_skipped;
+    /** Variables a slot retirement visited: only those the retiree's own
+     *  update sets or reader list name, never the whole table — the gc
+     *  suite's join-cost guard asserts this. */
+    RelaxedCounter retire_visited;
 };
 
 /** AeroDrome, Algorithm 1 (basic). */
@@ -105,16 +109,17 @@ public:
      *  full-table end sweep. */
     void set_update_sets(bool on) { tbl_.set_update_sets_enabled(on); }
 
-    /** Toggle dead-state reclamation (clock-entry GC + thread-slot
-     *  recycling); call before the first event. */
+    /** Reclamation (clock-entry GC + thread-slot recycling) is always
+     *  on; set_gc(false) before the first event is the tests' reference
+     *  path without it. */
     void set_gc(bool on) override { gc_ = on; }
     bool gc_enabled() const { return gc_; }
 
     /** Test hook: with gc on, sweep every n outermost ends (0 restores
      *  the arena-growth trigger). */
-    void set_gc_sweep_every(uint32_t n) { gc_sweep_every_ = n; }
+    void set_gc_sweep_every(uint32_t n) { sweeper_.set_every(n); }
 
-    uint64_t gc_sweeps() const { return gc_sweeps_; }
+    uint64_t gc_sweeps() const { return sweeper_.sweeps(); }
     const ThreadSlotMap& thread_slots() const { return slots_; }
 
     StatList counters() const override;
@@ -178,8 +183,11 @@ private:
     }
 
     void retire_slot(uint32_t s);
-    void gc_sweep_now();
-    void maybe_gc_sweep();
+
+    /** After a sweep: orphans it reset to bottom can never gate again,
+     *  so drop them from the writers' check lists and recycle their
+     *  indices. */
+    void recycle_dead_orphans();
 
     /**
      * The paper's checkAndGet(clk, t) against table entry `slot`: declare
@@ -224,6 +232,9 @@ private:
     /** r_slot_[x][t] -> entry of R_{t,x}, kNoSlot until t reads x
      *  (mirroring Algorithm 1's lazily-extended table). */
     std::vector<std::vector<uint32_t>> r_slot_;
+    /** r_vars_[t]: the variables x whose R_{t,x} row t holds, so a
+     *  retirement detaches them without walking every variable. */
+    std::vector<std::vector<VarId>> r_vars_;
     /** Reader entries of retired slots that were still live (non-bottom)
      *  at retirement. They keep their Algorithm 1 role — every later
      *  write to x checks them — until a sweep proves them dead, which
@@ -237,18 +248,15 @@ private:
     std::vector<uint8_t> cb_pure_;
     bool epochs_ = epochs_enabled_default();
 
-    std::vector<ThreadId> last_rel_thr_;
-    std::vector<ThreadId> last_w_thr_;
+    /** Last releaser of l / last writer of x, as owner words of tags_. */
+    std::vector<uint64_t> last_rel_;
+    std::vector<uint64_t> last_w_;
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
-    bool gc_ = gc_enabled_default();
+    bool gc_ = true;
     ThreadSlotMap slots_;
-    GcFrontier gcf_;
-    uint64_t gc_sweeps_ = 0;
-    uint64_t gc_live_entries_ = 0;
-    size_t gc_rows_baseline_ = 0;
-    uint32_t gc_sweep_every_ = 0;
-    uint32_t gc_ends_ = 0;
+    SlotTags tags_;
+    GcSweeper sweeper_;
 
     AeroDromeStats stats_;
 };

@@ -14,6 +14,7 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
     c_.ensure_rows(num_threads);
     cb_.ensure_rows(num_threads);
     c_pure_.assign(num_threads, 1);
+    tags_.ensure(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
         c_[t].set(t, 1);
     upd_r_.resize(num_threads);
@@ -96,6 +97,7 @@ AeroDromeOpt::ensure_thread(ThreadId t)
         c_.ensure_rows(n);
         cb_.ensure_rows(n);
         c_pure_.resize(n, 1);
+        tags_.ensure(n);
         upd_r_.resize(n);
         upd_w_.resize(n);
         parent_thread_.resize(n, kNoThread);
@@ -114,7 +116,7 @@ AeroDromeOpt::ensure_var(VarId x)
         tbl_.add_entry();                 // R_x
         tbl_.add_entry();                 // hR_x
         var_base_.push_back(base);
-        last_w_thr_.push_back(kNoThread);
+        last_w_.push_back(SlotTags::kNone);
         stale_write_.push_back(0);
         stale_readers_.emplace_back();
     }
@@ -125,7 +127,7 @@ AeroDromeOpt::ensure_lock(LockId l)
 {
     while (l >= lock_slot_.size()) {
         lock_slot_.push_back(tbl_.add_entry());
-        last_rel_thr_.push_back(kNoThread);
+        last_rel_.push_back(SlotTags::kNone);
     }
 }
 
@@ -241,26 +243,28 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         // cycle, so skip the propagation entirely and only tidy the lazy
         // bookkeeping (Algorithm 3, lines 75-86).
         ++opt_stats_.gc_skipped_ends;
+        const uint64_t tag = tags_[t];
         for (VarId x : upd_r_[t].list) {
             auto& sr = stale_readers_[x];
             sr.erase(std::remove(sr.begin(), sr.end(), t), sr.end());
         }
         upd_r_[t].clear();
         for (VarId x : upd_w_[t].list) {
-            if (last_w_thr_[x] == t) {
+            if (last_w_[x] == tag) {
                 stale_write_[x] = 0;
-                last_w_thr_[x] = kNoThread;
+                last_w_[x] = SlotTags::kNone;
             }
         }
         upd_w_[t].clear();
-        for (LockId l = 0; l < last_rel_thr_.size(); ++l) {
-            if (last_rel_thr_[l] == t)
-                last_rel_thr_[l] = kNoThread;
+        for (uint64_t& r : last_rel_) {
+            if (r == tag)
+                r = SlotTags::kNone;
         }
         return false;
     }
 
     ++opt_stats_.propagated_ends;
+    const uint64_t tag = tags_[t];
     ConstClockRef ct = c_[t];
     const ClockValue cbt_t = cb_[t].get(t);
     const bool ct_pure = pure_of(t);
@@ -288,11 +292,11 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         // If another thread's *stale* write supersedes ours, skip: future
         // readers will pick the ordering up from that thread's live clock
         // (which already absorbed C_t via the thread loop above).
-        if (!stale_write_[x] || last_w_thr_[x] == t) {
+        if (!stale_write_[x] || last_w_[x] == tag) {
             ++stats_.joins;
             tbl_.join(var_base_[x], ct, t, ct_pure);
         }
-        if (last_w_thr_[x] == t)
+        if (last_w_[x] == tag)
             stale_write_[x] = 0;
     }
     upd_w_[t].clear();
@@ -336,13 +340,13 @@ AeroDromeOpt::process(const Event& e, size_t index)
             if (handle_end(t, index))
                 return true;
             if (gc_)
-                maybe_gc_sweep();
+                sweeper_.maybe_sweep(tbl_, c_, slots_.bindings(), txns_);
         }
         return false;
 
       case Op::kAcquire:
         ensure_lock(target);
-        if (last_rel_thr_[target] != t) {
+        if (last_rel_[target] != tags_[t]) {
             return check_and_get_entry(lock_slot_[target], t, index,
                                        "acquire saw conflicting release");
         }
@@ -351,7 +355,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
       case Op::kRelease:
         ensure_lock(target);
         tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
-        last_rel_thr_[target] = t;
+        last_rel_[target] = tags_[t];
         return false;
 
       case Op::kFork:
@@ -378,10 +382,11 @@ AeroDromeOpt::process(const Event& e, size_t index)
         const VarId x = target;
         ensure_var(x);
         const size_t base = var_base_[x];
-        if (last_w_thr_[x] != t) {
+        const uint64_t tag = tags_[t];
+        if (last_w_[x] != tag) {
             bool v;
             if (stale_write_[x]) {
-                ThreadId lw = last_w_thr_[x];
+                ThreadId lw = SlotTags::row(last_w_[x]);
                 v = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
                                         index,
                                         "read saw conflicting write");
@@ -416,10 +421,11 @@ AeroDromeOpt::process(const Event& e, size_t index)
         const VarId x = target;
         ensure_var(x);
         const size_t base = var_base_[x];
-        if (last_w_thr_[x] != t) {
+        const uint64_t tag = tags_[t];
+        if (last_w_[x] != tag) {
             bool v;
             if (stale_write_[x]) {
-                ThreadId lw = last_w_thr_[x];
+                ThreadId lw = SlotTags::row(last_w_[x]);
                 v = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
                                         index,
                                         "write saw conflicting write");
@@ -442,7 +448,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
             stale_write_[x] = 0;
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
-        last_w_thr_[x] = t;
+        last_w_[x] = tag;
         enroll_update_sets(t, x, /*is_write=*/true);
         return false;
       }
@@ -455,36 +461,34 @@ AeroDromeOpt::retire_slot(uint32_t s)
 {
     if (txns_.active(s))
         return; // ill-formed join mid-transaction: leak the row, stay safe
-    // Scrub every cached fact that names this row. The lazy proxies must
-    // be materialized/flushed BEFORE the clock reset: they stand in for
-    // c_[s], which is about to become the reissue continuation.
-    for (VarId x = 0; x < var_base_.size(); ++x) {
-        if (last_w_thr_[x] == s) {
-            if (stale_write_[x]) {
-                // Defensive: a well-formed trace cleared this at s's last
-                // end. Materialize W_x from the proxy before it vanishes.
-                tbl_.assign(var_base_[x], c_[s], s, pure_of(s));
-                stale_write_[x] = 0;
-            }
-            last_w_thr_[x] = kNoThread;
+    // Flush the lazy proxies BEFORE the clock reset: they stand in for
+    // c_[s], which is about to become the reissue continuation. s was
+    // active at every stale access it made, so that access enrolled the
+    // variable in s's own update sets; walking them finds every proxy.
+    // (A well-formed trace emptied both sets at s's last end.)
+    const uint64_t tag = tags_[s];
+    stats_.retire_visited += upd_w_[s].list.size() + upd_r_[s].list.size();
+    for (VarId x : upd_w_[s].list) {
+        if (last_w_[x] == tag && stale_write_[x]) {
+            tbl_.assign(var_base_[x], c_[s], s, pure_of(s));
+            stale_write_[x] = 0;
         }
+    }
+    for (VarId x : upd_r_[s].list) {
         auto& sr = stale_readers_[x];
-        for (size_t k = 0; k < sr.size(); ++k) {
-            if (sr[k] == s) {
-                stats_.joins += 2;
-                const size_t base = var_base_[x];
-                const bool pure = pure_of(s);
-                tbl_.join(base + 1, c_[s], s, pure);
-                tbl_.join_except(base + 2, c_[s], s, pure);
-                sr.erase(sr.begin() + static_cast<ptrdiff_t>(k));
-                break;
-            }
+        auto it = std::find(sr.begin(), sr.end(), s);
+        if (it != sr.end()) {
+            stats_.joins += 2;
+            const size_t base = var_base_[x];
+            const bool pure = pure_of(s);
+            tbl_.join(base + 1, c_[s], s, pure);
+            tbl_.join_except(base + 2, c_[s], s, pure);
+            sr.erase(it);
         }
     }
-    for (ThreadId& r : last_rel_thr_) {
-        if (r == s)
-            r = kNoThread;
-    }
+    // The dead thread's last-writer and last-releaser facts expire with
+    // its incarnation.
+    tags_.retire(s);
     upd_r_[s].clear();
     upd_w_[s].clear();
     parent_thread_[s] = kNoThread;
@@ -495,38 +499,6 @@ AeroDromeOpt::retire_slot(uint32_t s)
     cb_[s].clear();
     c_pure_[s] = 1;
     slots_.retire(s);
-}
-
-void
-AeroDromeOpt::gc_sweep_now()
-{
-    gcf_.reset(c_.dim());
-    const std::vector<ThreadId>& bound = slots_.bindings();
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread)
-            gcf_.accumulate(c_[s]);
-    }
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread && txns_.active(s))
-            gcf_.cap_active(s, c_[s].get(s));
-    }
-    gc_live_entries_ = tbl_.gc_sweep(gcf_);
-    ++gc_sweeps_;
-    gc_rows_baseline_ = tbl_.arena_rows_live();
-    gc_ends_ = 0;
-}
-
-void
-AeroDromeOpt::maybe_gc_sweep()
-{
-    if (gc_sweep_every_ != 0) {
-        if (++gc_ends_ >= gc_sweep_every_)
-            gc_sweep_now();
-        return;
-    }
-    const size_t rows = tbl_.arena_rows_live();
-    if (rows >= 128 && rows >= 2 * gc_rows_baseline_)
-        gc_sweep_now();
 }
 
 StatList
@@ -545,8 +517,9 @@ AeroDromeOpt::counters() const
         {"inflations", es.inflations},
         {"gc_reclaimed", es.gc_reclaimed},
         {"gc_rows_freed", es.gc_rows_freed},
-        {"gc_sweeps", gc_sweeps_},
-        {"gc_live_entries", gc_live_entries_},
+        {"gc_sweeps", sweeper_.sweeps()},
+        {"gc_walks_skipped", sweeper_.walks_skipped()},
+        {"gc_live_entries", sweeper_.live_entries()},
         {"slots_retired", slots_.retired()},
         {"slots_recycled", slots_.recycled()},
     };
@@ -558,17 +531,18 @@ AeroDromeOpt::memory_bytes() const
     size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
     n += (lock_slot_.capacity() + var_base_.capacity()) * sizeof(uint32_t);
     n += c_pure_.capacity() + stale_write_.capacity();
-    n += (last_rel_thr_.capacity() + last_w_thr_.capacity() +
-          parent_thread_.capacity()) *
-         sizeof(ThreadId);
-    n += parent_txn_seq_.capacity() * sizeof(uint64_t);
+    n += parent_thread_.capacity() * sizeof(ThreadId);
+    n += (last_rel_.capacity() + last_w_.capacity() +
+          parent_txn_seq_.capacity()) *
+         sizeof(uint64_t);
     for (const auto& sr : stale_readers_)
         n += sr.capacity() * sizeof(ThreadId);
     for (const auto* sets : {&upd_r_, &upd_w_}) {
         for (const auto& s : *sets)
             n += s.list.capacity() * sizeof(VarId) + s.member.capacity();
     }
-    n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
+    n += slots_.memory_bytes() + tags_.memory_bytes() +
+         sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

@@ -12,6 +12,7 @@ AeroDromeReadOpt::AeroDromeReadOpt(uint32_t num_threads, uint32_t num_vars,
     c_.ensure_rows(num_threads);
     cb_.ensure_rows(num_threads);
     c_pure_.assign(num_threads, 1);
+    tags_.ensure(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
         c_[t].set(t, 1);
     if (num_vars > 0)
@@ -93,6 +94,7 @@ AeroDromeReadOpt::ensure_thread(ThreadId t)
         c_.ensure_rows(n);
         cb_.ensure_rows(n);
         c_pure_.resize(n, 1);
+        tags_.ensure(n);
         for (size_t u = old; u < n; ++u)
             c_[u].set(u, 1);
         txns_.ensure(static_cast<uint32_t>(n));
@@ -106,7 +108,7 @@ AeroDromeReadOpt::ensure_var(VarId x)
     // table entries are allocated by var_slots() on first access.
     while (x >= var_base_.size()) {
         var_base_.push_back(kNoSlot);
-        last_w_thr_.push_back(kNoThread);
+        last_w_.push_back(SlotTags::kNone);
     }
 }
 
@@ -126,7 +128,7 @@ AeroDromeReadOpt::ensure_lock(LockId l)
 {
     while (l >= lock_slot_.size()) {
         lock_slot_.push_back(add_entry(kLockEntry));
-        last_rel_thr_.push_back(kNoThread);
+        last_rel_.push_back(SlotTags::kNone);
     }
 }
 
@@ -261,13 +263,13 @@ AeroDromeReadOpt::process(const Event& e, size_t index)
             if (handle_end(t, index))
                 return true;
             if (gc_)
-                maybe_gc_sweep();
+                sweeper_.maybe_sweep(tbl_, c_, slots_.bindings(), txns_);
         }
         return false;
 
       case Op::kAcquire:
         ensure_lock(target);
-        if (last_rel_thr_[target] != t) {
+        if (last_rel_[target] != tags_[t]) {
             return check_and_get_entry(lock_slot_[target], t, index,
                                        "acquire saw conflicting release");
         }
@@ -276,7 +278,7 @@ AeroDromeReadOpt::process(const Event& e, size_t index)
       case Op::kRelease:
         ensure_lock(target);
         tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
-        last_rel_thr_[target] = t;
+        last_rel_[target] = tags_[t];
         return false;
 
       case Op::kFork:
@@ -303,7 +305,7 @@ AeroDromeReadOpt::process(const Event& e, size_t index)
         const VarId x = target;
         ensure_var(x);
         const size_t base = var_slots(x);
-        if (last_w_thr_[x] != t) {
+        if (last_w_[x] != tags_[t]) {
             if (check_and_get_entry(base, t, index,
                                     "read saw conflicting write")) {
                 return true;
@@ -320,7 +322,7 @@ AeroDromeReadOpt::process(const Event& e, size_t index)
         const VarId x = target;
         ensure_var(x);
         const size_t base = var_slots(x);
-        if (last_w_thr_[x] != t) {
+        if (last_w_[x] != tags_[t]) {
             if (check_and_get_entry(base, t, index,
                                     "write saw conflicting write")) {
                 return true;
@@ -332,7 +334,7 @@ AeroDromeReadOpt::process(const Event& e, size_t index)
         ++stats_.joins;
         tbl_.join_into(c_[t], base + 1, t, c_pure_[t]);
         tbl_.assign(base, c_[t], t, pure_of(t));
-        last_w_thr_[x] = t;
+        last_w_[x] = tags_[t];
         return false;
       }
     }
@@ -344,16 +346,9 @@ AeroDromeReadOpt::retire_slot(uint32_t s)
 {
     if (txns_.active(s))
         return; // ill-formed join mid-transaction: leak the row, stay safe
-    // Scrub cached same-owner facts: the reissued thread must not inherit
-    // the dead thread's check-skipping rights.
-    for (ThreadId& r : last_rel_thr_) {
-        if (r == s)
-            r = kNoThread;
-    }
-    for (ThreadId& w : last_w_thr_) {
-        if (w == s)
-            w = kNoThread;
-    }
+    // Expire the dead thread's last-writer and last-releaser facts: the
+    // reissued thread must not inherit its check-skipping rights.
+    tags_.retire(s);
     // Continue the clock one past every value the dead thread minted, so
     // reissued begin gates exceed every stale epoch still naming this row.
     const ClockValue v = c_[s].get(s);
@@ -363,39 +358,6 @@ AeroDromeReadOpt::retire_slot(uint32_t s)
     c_pure_[s] = 1;
     tbl_.close_update_window(s);
     slots_.retire(s);
-}
-
-void
-AeroDromeReadOpt::gc_sweep_now()
-{
-    gcf_.reset(c_.dim());
-    const std::vector<ThreadId>& bound = slots_.bindings();
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread)
-            gcf_.accumulate(c_[s]);
-    }
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread && txns_.active(s))
-            gcf_.cap_active(s, c_[s].get(s));
-    }
-    gc_live_entries_ = tbl_.gc_sweep(gcf_);
-    ++gc_sweeps_;
-    gc_rows_baseline_ = tbl_.arena_rows_live();
-    gc_ends_ = 0;
-}
-
-void
-AeroDromeReadOpt::maybe_gc_sweep()
-{
-    if (gc_sweep_every_ != 0) {
-        if (++gc_ends_ >= gc_sweep_every_)
-            gc_sweep_now();
-        return;
-    }
-    // Growth trigger: the live arena doubled since the last sweep.
-    const size_t rows = tbl_.arena_rows_live();
-    if (rows >= 128 && rows >= 2 * gc_rows_baseline_)
-        gc_sweep_now();
 }
 
 StatList
@@ -413,8 +375,9 @@ AeroDromeReadOpt::counters() const
         {"end_gate_skipped", stats_.end_gate_skipped},
         {"gc_reclaimed", es.gc_reclaimed},
         {"gc_rows_freed", es.gc_rows_freed},
-        {"gc_sweeps", gc_sweeps_},
-        {"gc_live_entries", gc_live_entries_},
+        {"gc_sweeps", sweeper_.sweeps()},
+        {"gc_walks_skipped", sweeper_.walks_skipped()},
+        {"gc_live_entries", sweeper_.live_entries()},
         {"slots_retired", slots_.retired()},
         {"slots_recycled", slots_.recycled()},
     };
@@ -426,9 +389,9 @@ AeroDromeReadOpt::memory_bytes() const
     size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
     n += (lock_slot_.capacity() + var_base_.capacity()) * sizeof(uint32_t);
     n += kinds_.capacity() + c_pure_.capacity();
-    n += (last_rel_thr_.capacity() + last_w_thr_.capacity()) *
-         sizeof(ThreadId);
-    n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
+    n += (last_rel_.capacity() + last_w_.capacity()) * sizeof(uint64_t);
+    n += slots_.memory_bytes() + tags_.memory_bytes() +
+         sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

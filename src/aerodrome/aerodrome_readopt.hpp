@@ -85,8 +85,9 @@ public:
      *  full-table end sweep. */
     void set_update_sets(bool on) { tbl_.set_update_sets_enabled(on); }
 
-    /** Toggle dead-state reclamation (clock-entry GC + thread-slot
-     *  recycling); call before the first event. */
+    /** Reclamation (clock-entry GC + thread-slot recycling) is always
+     *  on; set_gc(false) before the first event is the tests' reference
+     *  path without it. */
     void set_gc(bool on) override { gc_ = on; }
     bool gc_enabled() const { return gc_; }
 
@@ -94,9 +95,9 @@ public:
      *  events instead of waiting for the arena-growth trigger (0 restores
      *  the trigger). Makes parity fuzzing reclaim as aggressively as
      *  possible. */
-    void set_gc_sweep_every(uint32_t n) { gc_sweep_every_ = n; }
+    void set_gc_sweep_every(uint32_t n) { sweeper_.set_every(n); }
 
-    uint64_t gc_sweeps() const { return gc_sweeps_; }
+    uint64_t gc_sweeps() const { return sweeper_.sweeps(); }
     const ThreadSlotMap& thread_slots() const { return slots_; }
 
     StatList counters() const override;
@@ -172,19 +173,11 @@ private:
         return s;
     }
 
-    /** Retire the joined thread in row s: scrub cached same-owner facts,
+    /** Retire the joined thread in row s: expire its same-owner facts,
      *  continue the clock one past every value it minted, and hand the
      *  row back for reissue. Refused (row leaks, stays live) if an
      *  ill-formed trace joins a thread mid-transaction. */
     void retire_slot(uint32_t s);
-
-    /** Recompute the live-row minimum frontier and sweep the table. */
-    void gc_sweep_now();
-
-    /** Sweep when due (growth trigger or the sweep-every test hook);
-     *  piggybacks on outermost end events, right after their window
-     *  sweep. */
-    void maybe_gc_sweep();
 
     TxnTracker txns_;
 
@@ -203,20 +196,17 @@ private:
     std::vector<uint8_t> c_pure_;
     bool epochs_ = epochs_enabled_default();
 
-    std::vector<ThreadId> last_rel_thr_;
-    std::vector<ThreadId> last_w_thr_;
+    /** Last releaser of l / last writer of x, as owner words of tags_. */
+    std::vector<uint64_t> last_rel_;
+    std::vector<uint64_t> last_w_;
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). With
      *  gc_ on, every per-thread row is a recycled *slot* and events are
      *  translated through slots_ before processing. */
-    bool gc_ = gc_enabled_default();
+    bool gc_ = true;
     ThreadSlotMap slots_;
-    GcFrontier gcf_;
-    uint64_t gc_sweeps_ = 0;
-    uint64_t gc_live_entries_ = 0;
-    size_t gc_rows_baseline_ = 0;
-    uint32_t gc_sweep_every_ = 0;
-    uint32_t gc_ends_ = 0;
+    SlotTags tags_;
+    GcSweeper sweeper_;
 
     AeroDromeStats stats_;
 };

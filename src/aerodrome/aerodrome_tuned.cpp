@@ -14,6 +14,7 @@ AeroDromeTuned::AeroDromeTuned(uint32_t num_threads, uint32_t num_vars,
     c_.ensure_rows(num_threads);
     cb_.ensure_rows(num_threads);
     c_pure_.assign(num_threads, 1);
+    tags_.ensure(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
         c_[t].set(t, 1);
     upd_r_.resize(num_threads);
@@ -108,6 +109,7 @@ AeroDromeTuned::ensure_thread(ThreadId t)
         c_.ensure_rows(n);
         cb_.ensure_rows(n);
         c_pure_.resize(n, 1);
+        tags_.ensure(n);
         upd_r_.resize(n);
         upd_w_.resize(n);
         parent_thread_.resize(n, kNoThread);
@@ -128,7 +130,7 @@ AeroDromeTuned::ensure_var(VarId x)
         tbl_.add_entry();                 // R_x
         tbl_.add_entry();                 // hR_x
         var_base_.push_back(base);
-        last_w_thr_.push_back(kNoThread);
+        last_w_.push_back(SlotTags::kNone);
         stale_write_.push_back(0);
         stale_readers_.emplace_back();
         var_version_.push_back(1);
@@ -145,7 +147,7 @@ AeroDromeTuned::ensure_lock(LockId l)
 {
     while (l >= lock_slot_.size()) {
         lock_slot_.push_back(tbl_.add_entry());
-        last_rel_thr_.push_back(kNoThread);
+        last_rel_.push_back(SlotTags::kNone);
     }
 }
 
@@ -268,6 +270,7 @@ AeroDromeTuned::handle_end(ThreadId t, size_t index)
 {
     if (!has_incoming_edge(t)) {
         ++opt_stats_.gc_skipped_ends;
+        const uint64_t tag = tags_[t];
         for (VarId x : upd_r_[t].list) {
             auto& sr = stale_readers_[x];
             sr.erase(std::remove(sr.begin(), sr.end(), t), sr.end());
@@ -277,21 +280,22 @@ AeroDromeTuned::handle_end(ThreadId t, size_t index)
         }
         upd_r_[t].clear();
         for (VarId x : upd_w_[t].list) {
-            if (last_w_thr_[x] == t) {
+            if (last_w_[x] == tag) {
                 stale_write_[x] = 0;
-                last_w_thr_[x] = kNoThread;
+                last_w_[x] = SlotTags::kNone;
             }
             ++var_version_[x];
         }
         upd_w_[t].clear();
-        for (LockId l = 0; l < last_rel_thr_.size(); ++l) {
-            if (last_rel_thr_[l] == t)
-                last_rel_thr_[l] = kNoThread;
+        for (uint64_t& r : last_rel_) {
+            if (r == tag)
+                r = SlotTags::kNone;
         }
         return false;
     }
 
     ++opt_stats_.propagated_ends;
+    const uint64_t tag = tags_[t];
     ConstClockRef ct = c_[t];
     const ClockValue cbt_t = cb_[t].get(t);
     const bool ct_pure = pure_of(t);
@@ -316,11 +320,11 @@ AeroDromeTuned::handle_end(ThreadId t, size_t index)
         }
     }
     for (VarId x : upd_w_[t].list) {
-        if (!stale_write_[x] || last_w_thr_[x] == t) {
+        if (!stale_write_[x] || last_w_[x] == tag) {
             ++stats_.joins;
             tbl_.join(var_base_[x], ct, t, ct_pure);
         }
-        if (last_w_thr_[x] == t)
+        if (last_w_[x] == tag)
             stale_write_[x] = 0;
         ++var_version_[x];
     }
@@ -371,13 +375,13 @@ AeroDromeTuned::process(const Event& e, size_t index)
             if (handle_end(t, index))
                 return true;
             if (gc_)
-                maybe_gc_sweep();
+                sweeper_.maybe_sweep(tbl_, c_, slots_.bindings(), txns_);
         }
         return false;
 
       case Op::kAcquire:
         ensure_lock(target);
-        if (last_rel_thr_[target] != t) {
+        if (last_rel_[target] != tags_[t]) {
             return check_and_get_entry(lock_slot_[target], t, index,
                                        "acquire saw conflicting release");
         }
@@ -386,7 +390,7 @@ AeroDromeTuned::process(const Event& e, size_t index)
       case Op::kRelease:
         ensure_lock(target);
         tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
-        last_rel_thr_[target] = t;
+        last_rel_[target] = tags_[t];
         return false;
 
       case Op::kFork:
@@ -422,10 +426,10 @@ AeroDromeTuned::process(const Event& e, size_t index)
             return false;
         }
         const size_t base = var_base_[x];
-        if (last_w_thr_[x] != t) {
+        if (last_w_[x] != tags_[t]) {
             bool v;
             if (stale_write_[x]) {
-                ThreadId lw = last_w_thr_[x];
+                ThreadId lw = SlotTags::row(last_w_[x]);
                 v = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
                                         index,
                                         "read saw conflicting write");
@@ -462,17 +466,18 @@ AeroDromeTuned::process(const Event& e, size_t index)
         ensure_var(x);
         // Same-epoch fast path: t already is the pending stale writer,
         // its clock is unchanged, and no read of x intervened.
-        if (txns_.active(t) && stale_write_[x] && last_w_thr_[x] == t &&
+        const uint64_t tag = tags_[t];
+        if (txns_.active(t) && stale_write_[x] && last_w_[x] == tag &&
             last_writer_cv_[x] == clock_version_[t] &&
             last_writer_vv_[x] == var_version_[x]) {
             ++tuned_stats_.same_epoch_writes;
             return false;
         }
         const size_t base = var_base_[x];
-        if (last_w_thr_[x] != t) {
+        if (last_w_[x] != tag) {
             bool v;
             if (stale_write_[x]) {
-                ThreadId lw = last_w_thr_[x];
+                ThreadId lw = SlotTags::row(last_w_[x]);
                 v = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
                                         index,
                                         "write saw conflicting write");
@@ -495,7 +500,7 @@ AeroDromeTuned::process(const Event& e, size_t index)
             stale_write_[x] = 0;
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
-        last_w_thr_[x] = t;
+        last_w_[x] = tag;
         ++var_version_[x];
         last_writer_cv_[x] = clock_version_[t];
         last_writer_vv_[x] = var_version_[x];
@@ -513,40 +518,36 @@ AeroDromeTuned::retire_slot(uint32_t s)
 {
     if (txns_.active(s))
         return; // ill-formed join mid-transaction: leak the row, stay safe
-    // Scrub every cached fact naming this row; flush the lazy proxies
-    // BEFORE the clock reset (they stand in for c_[s]).
-    for (VarId x = 0; x < var_base_.size(); ++x) {
-        if (last_w_thr_[x] == s) {
-            if (stale_write_[x]) {
-                // Defensive: a well-formed trace cleared this at s's end.
-                tbl_.assign(var_base_[x], c_[s], s, pure_of(s));
-                stale_write_[x] = 0;
-            }
-            last_w_thr_[x] = kNoThread;
+    // Flush the lazy proxies BEFORE the clock reset (they stand in for
+    // c_[s]). s was active at every stale access it made, so the
+    // variable sits in s's own update sets; a well-formed trace emptied
+    // both at s's last end. Remembered (clock version, s) reader pairs
+    // die with bump_clock_version below.
+    const uint64_t tag = tags_[s];
+    stats_.retire_visited += upd_w_[s].list.size() + upd_r_[s].list.size();
+    for (VarId x : upd_w_[s].list) {
+        if (last_w_[x] == tag && stale_write_[x]) {
+            tbl_.assign(var_base_[x], c_[s], s, pure_of(s));
+            stale_write_[x] = 0;
             ++var_version_[x];
         }
-        if (last_reader_[x] == s) {
-            last_reader_[x] = kNoThread;
-            ++var_version_[x];
-        }
+    }
+    for (VarId x : upd_r_[s].list) {
         auto& sr = stale_readers_[x];
-        for (size_t k = 0; k < sr.size(); ++k) {
-            if (sr[k] == s) {
-                stats_.joins += 2;
-                const size_t base = var_base_[x];
-                const bool pure = pure_of(s);
-                tbl_.join(base + 1, c_[s], s, pure);
-                tbl_.join_except(base + 2, c_[s], s, pure);
-                sr.erase(sr.begin() + static_cast<ptrdiff_t>(k));
-                ++var_version_[x];
-                break;
-            }
+        auto it = std::find(sr.begin(), sr.end(), s);
+        if (it != sr.end()) {
+            stats_.joins += 2;
+            const size_t base = var_base_[x];
+            const bool pure = pure_of(s);
+            tbl_.join(base + 1, c_[s], s, pure);
+            tbl_.join_except(base + 2, c_[s], s, pure);
+            sr.erase(it);
+            ++var_version_[x];
         }
     }
-    for (ThreadId& r : last_rel_thr_) {
-        if (r == s)
-            r = kNoThread;
-    }
+    // The dead thread's last-writer and last-releaser facts expire with
+    // its incarnation.
+    tags_.retire(s);
     upd_r_[s].clear();
     upd_w_[s].clear();
     parent_thread_[s] = kNoThread;
@@ -560,38 +561,6 @@ AeroDromeTuned::retire_slot(uint32_t s)
     // Any remembered (clock version, s) pair must die with the binding.
     bump_clock_version(s);
     slots_.retire(s);
-}
-
-void
-AeroDromeTuned::gc_sweep_now()
-{
-    gcf_.reset(c_.dim());
-    const std::vector<ThreadId>& bound = slots_.bindings();
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread)
-            gcf_.accumulate(c_[s]);
-    }
-    for (uint32_t s = 0; s < bound.size(); ++s) {
-        if (bound[s] != kNoThread && txns_.active(s))
-            gcf_.cap_active(s, c_[s].get(s));
-    }
-    gc_live_entries_ = tbl_.gc_sweep(gcf_);
-    ++gc_sweeps_;
-    gc_rows_baseline_ = tbl_.arena_rows_live();
-    gc_ends_ = 0;
-}
-
-void
-AeroDromeTuned::maybe_gc_sweep()
-{
-    if (gc_sweep_every_ != 0) {
-        if (++gc_ends_ >= gc_sweep_every_)
-            gc_sweep_now();
-        return;
-    }
-    const size_t rows = tbl_.arena_rows_live();
-    if (rows >= 128 && rows >= 2 * gc_rows_baseline_)
-        gc_sweep_now();
 }
 
 StatList
@@ -612,8 +581,9 @@ AeroDromeTuned::counters() const
         {"inflations", es.inflations},
         {"gc_reclaimed", es.gc_reclaimed},
         {"gc_rows_freed", es.gc_rows_freed},
-        {"gc_sweeps", gc_sweeps_},
-        {"gc_live_entries", gc_live_entries_},
+        {"gc_sweeps", sweeper_.sweeps()},
+        {"gc_walks_skipped", sweeper_.walks_skipped()},
+        {"gc_live_entries", sweeper_.live_entries()},
         {"slots_retired", slots_.retired()},
         {"slots_recycled", slots_.recycled()},
     };
@@ -627,11 +597,11 @@ AeroDromeTuned::memory_bytes() const
           active_pos_.capacity()) *
          sizeof(uint32_t);
     n += c_pure_.capacity() + stale_write_.capacity();
-    n += (last_rel_thr_.capacity() + last_w_thr_.capacity() +
-          parent_thread_.capacity() + active_threads_.capacity() +
+    n += (parent_thread_.capacity() + active_threads_.capacity() +
           last_reader_.capacity()) *
          sizeof(ThreadId);
-    n += (parent_txn_seq_.capacity() + clock_version_.capacity() +
+    n += (last_rel_.capacity() + last_w_.capacity() +
+          parent_txn_seq_.capacity() + clock_version_.capacity() +
           var_version_.capacity() + last_reader_cv_.capacity() +
           last_reader_vv_.capacity() + last_writer_cv_.capacity() +
           last_writer_vv_.capacity()) *
@@ -642,7 +612,8 @@ AeroDromeTuned::memory_bytes() const
         for (const auto& s : *sets)
             n += s.list.capacity() * sizeof(VarId) + s.member.capacity();
     }
-    n += slots_.memory_bytes() + gcf_.memory_bytes() + txns_.memory_bytes();
+    n += slots_.memory_bytes() + tags_.memory_bytes() +
+         sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

@@ -94,16 +94,17 @@ public:
         tbl_.set_epochs_enabled(on);
     }
 
-    /** Toggle dead-state reclamation (clock-entry GC + thread-slot
-     *  recycling); call before the first event. */
+    /** Reclamation (clock-entry GC + thread-slot recycling) is always
+     *  on; set_gc(false) before the first event is the tests' reference
+     *  path without it. */
     void set_gc(bool on) override { gc_ = on; }
     bool gc_enabled() const { return gc_; }
 
     /** Test hook: with gc on, sweep every n outermost ends (0 restores
      *  the arena-growth trigger). */
-    void set_gc_sweep_every(uint32_t n) { gc_sweep_every_ = n; }
+    void set_gc_sweep_every(uint32_t n) { sweeper_.set_every(n); }
 
-    uint64_t gc_sweeps() const { return gc_sweeps_; }
+    uint64_t gc_sweeps() const { return sweeper_.sweeps(); }
     const ThreadSlotMap& thread_slots() const { return slots_; }
 
     StatList counters() const override;
@@ -139,8 +140,6 @@ private:
     }
 
     void retire_slot(uint32_t s);
-    void gc_sweep_now();
-    void maybe_gc_sweep();
 
     bool check_and_get_entry(size_t slot, ThreadId t, size_t index,
                              const char* reason);
@@ -190,8 +189,9 @@ private:
     std::vector<uint8_t> c_pure_;
     bool epochs_ = epochs_enabled_default();
 
-    std::vector<ThreadId> last_rel_thr_;
-    std::vector<ThreadId> last_w_thr_;
+    /** Last releaser of l / last writer of x, as owner words of tags_. */
+    std::vector<uint64_t> last_rel_;
+    std::vector<uint64_t> last_w_;
     std::vector<uint8_t> stale_write_;
     std::vector<std::vector<ThreadId>> stale_readers_;
 
@@ -241,14 +241,10 @@ private:
     std::vector<uint64_t> last_writer_vv_; // var version after the write
 
     /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
-    bool gc_ = gc_enabled_default();
+    bool gc_ = true;
     ThreadSlotMap slots_;
-    GcFrontier gcf_;
-    uint64_t gc_sweeps_ = 0;
-    uint64_t gc_live_entries_ = 0;
-    size_t gc_rows_baseline_ = 0;
-    uint32_t gc_sweep_every_ = 0;
-    uint32_t gc_ends_ = 0;
+    SlotTags tags_;
+    GcSweeper sweeper_;
 
     AeroDromeStats stats_;
     AeroDromeOptStats opt_stats_;

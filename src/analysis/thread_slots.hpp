@@ -159,4 +159,47 @@ private:
     uint64_t recycled_ = 0;
 };
 
+/**
+ * Owner words for the engines' per-variable and per-lock "same thread
+ * as last time" facts (last writer, last releaser). A word names one
+ * incarnation of a row: the row in the low 32 bits, the number of times
+ * the row was retired before in the high 32. Retiring a row bumps its
+ * incarnation, so every fact the dead thread left behind stops matching
+ * the row's next owner at once — a join costs O(1) here instead of a
+ * walk over every variable and lock. (The incarnation wraps after 2^32
+ * retirements of one row; a fact would have to outlive all of them
+ * untouched to alias.)
+ */
+class SlotTags {
+public:
+    /** Owner word of no row: never equal to any row's tag. */
+    static constexpr uint64_t kNone = UINT64_MAX;
+
+    /** Row an owner word names (kNoThread for kNone). */
+    static ThreadId
+    row(uint64_t tag)
+    {
+        return static_cast<ThreadId>(tag);
+    }
+
+    /** Give rows [0, n) a tag (fresh rows start at incarnation 0). */
+    void
+    ensure(size_t n)
+    {
+        while (tags_.size() < n)
+            tags_.push_back(tags_.size());
+    }
+
+    /** Current owner word of row t. */
+    uint64_t operator[](ThreadId t) const { return tags_[t]; }
+
+    /** Row t was retired: its next owner gets a fresh incarnation. */
+    void retire(ThreadId t) { tags_[t] += uint64_t{1} << 32; }
+
+    size_t memory_bytes() const { return tags_.capacity() * sizeof(uint64_t); }
+
+private:
+    std::vector<uint64_t> tags_;
+};
+
 } // namespace aero

@@ -22,8 +22,9 @@
  *    clock entries go cold and become reclaimable while the live
  *    footprint stays put.
  *
- * Without reclamation (AERO_GC=0) engine memory grows with the trace;
- * with it the soak test asserts memory_bytes() plateaus.
+ * Without reclamation (set_gc(false)) engine memory grows with the
+ * trace; with it — every engine's default — the soak test asserts
+ * memory_bytes() plateaus.
  *
  * Events are produced one transaction at a time (workers round-robin),
  * deterministically from the seed: the same options always yield the

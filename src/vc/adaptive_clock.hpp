@@ -51,13 +51,6 @@ namespace aero {
  *  "0"/"off" in the environment (read once). */
 bool epochs_enabled_default();
 
-/** Process-wide default for dead-state reclamation (clock-entry GC and
- *  thread-slot recycling in the engines): true iff AERO_GC is set to
- *  "1"/"on" in the environment (read once). Off by default — unbounded
- *  traces opt in; every verdict is bit-identical either way (enforced by
- *  tests/gc_test.cpp parity fuzzing and the AERO_GC=1 CI pass). */
-bool gc_enabled_default();
-
 /** Process-wide default for update-set tracking: false iff
  *  AERO_UPDATE_SETS is set to "0"/"off" in the environment (read once).
  *  Off reproduces the full-table end sweep — the differential escape

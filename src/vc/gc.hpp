@@ -4,7 +4,8 @@
  * @file
  * GcFrontier — the live-thread minimum frontier that drives clock-entry
  * reclamation (AdaptiveClockTable::gc_sweep and the engines' thread-slot
- * retirement; see src/vc/README.md, "Reclamation").
+ * retirement; see src/vc/README.md, "Reclamation") — and GcSweeper, the
+ * sweep schedule every AeroDrome engine runs on it.
  *
  * F[u] = min over the clocks C_w of every *live* thread w of C_w(u). An
  * entry E every non-bottom component u of which satisfies E(u) <= F[u]
@@ -45,6 +46,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/event.hpp"
 #include "vc/clock_bank.hpp"
 
 namespace aero {
@@ -100,6 +102,20 @@ public:
      *  frontier: nothing non-bottom is dead). */
     bool empty() const { return rows_ == 0; }
 
+    /** True when F is non-zero in at most one component. Then an entry
+     *  with two non-bottom components cannot be dead, a table walk could
+     *  only reset entries whose one non-bottom component is F's, and
+     *  GcSweeper skips the walk. */
+    bool
+    pinned() const
+    {
+        size_t nonzero = 0;
+        for (ClockValue v : f_)
+            if (v != 0 && ++nonzero > 1)
+                return false;
+        return true;
+    }
+
     size_t dim() const { return f_.size(); }
 
     ClockValue get(size_t u) const { return u < f_.size() ? f_[u] : 0; }
@@ -130,6 +146,86 @@ public:
 private:
     std::vector<ClockValue> f_;
     size_t rows_ = 0;
+};
+
+/**
+ * When and how an engine sweeps its adaptive table: the one schedule the
+ * four AeroDrome engines share.
+ *
+ * Sweeps piggyback on outermost transaction ends. One is due when the
+ * table's live arena has doubled since the last sweep (>= 128 rows), or
+ * every n ends under the set_every(n) test hook. A sweep first builds F
+ * over the bound slots' clocks, capped at active-transaction gates —
+ * O(slots x dim). It then walks the table only if F is non-zero in at
+ * least two components (GcFrontier::pinned). A live thread that never
+ * synchronises with the rest keeps every other component of F at 0, and
+ * without the skip each doubling would walk the whole table to reclaim
+ * next to nothing. Skipping is always safe: reclaiming any subset of
+ * the dead entries, including none, leaves every verdict unchanged.
+ */
+class GcSweeper {
+public:
+    /** Sweep every n outermost ends (0 restores the arena-growth
+     *  trigger). */
+    void set_every(uint32_t n) { every_ = n; }
+
+    /**
+     * Call at each outermost end. When a sweep is due, build the
+     * frontier over the clocks `c` of the slots bound in `bound`
+     * (kNoThread = free), capping the slots `txns` reports active, and
+     * walk `tbl` unless the frontier is pinned. Returns true iff the
+     * table walk ran.
+     */
+    template <typename Table, typename Txns>
+    bool
+    maybe_sweep(Table& tbl, const ClockBank& c,
+                const std::vector<ThreadId>& bound, const Txns& txns)
+    {
+        if (every_ != 0) {
+            if (++ends_ < every_)
+                return false;
+        } else {
+            const size_t rows = tbl.arena_rows_live();
+            if (rows < 128 || rows < 2 * rows_baseline_)
+                return false;
+        }
+        ends_ = 0;
+        ++sweeps_;
+        f_.reset(c.dim());
+        for (uint32_t s = 0; s < bound.size(); ++s) {
+            if (bound[s] != kNoThread)
+                f_.accumulate(c[s]);
+        }
+        for (uint32_t s = 0; s < bound.size(); ++s) {
+            if (bound[s] != kNoThread && txns.active(s))
+                f_.cap_active(s, c[s].get(s));
+        }
+        const bool walk = !f_.pinned();
+        if (walk)
+            live_entries_ = tbl.gc_sweep(f_);
+        else
+            ++walks_skipped_;
+        rows_baseline_ = tbl.arena_rows_live();
+        return walk;
+    }
+
+    /** Sweeps run, including those whose table walk was skipped. */
+    uint64_t sweeps() const { return sweeps_; }
+    /** Sweeps whose table walk was skipped on a pinned frontier. */
+    uint64_t walks_skipped() const { return walks_skipped_; }
+    /** Live (non-bottom) entries left by the last table walk. */
+    uint64_t live_entries() const { return live_entries_; }
+
+    size_t memory_bytes() const { return f_.memory_bytes(); }
+
+private:
+    GcFrontier f_;
+    uint64_t sweeps_ = 0;
+    uint64_t walks_skipped_ = 0;
+    uint64_t live_entries_ = 0;
+    size_t rows_baseline_ = 0;
+    uint32_t every_ = 0;
+    uint32_t ends_ = 0;
 };
 
 } // namespace aero

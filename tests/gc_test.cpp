@@ -4,13 +4,20 @@
  * (src/vc/gc.hpp, AdaptiveClockTable's gc_* block, the engines'
  * retire_slot; src/vc/README.md, "Reclamation").
  *
- * Directed cases pin the two boundaries the design note calls out:
+ * Directed cases pin the boundaries the design note calls out:
  *  - strictness: an entry exactly AT the frontier can equal the gate of
  *    a live transaction and must survive a sweep; one tick below is
  *    provably unreachable and must be reclaimed;
  *  - continuation: a reissued thread slot must not alias the dead
  *    thread's stale epochs — the retire path continues the slot's own
- *    component past every value the dead thread minted.
+ *    component past every value the dead thread minted — nor inherit
+ *    its last-writer, last-releaser or reader facts;
+ *  - cost: a join visits only the retiree's own state, and a sweep
+ *    under a pinned frontier skips its table walk without moving the
+ *    verdict.
+ *
+ * Reclamation is every engine's default, so the directed cases run
+ * default-constructed engines; set_gc(false) is the reference path.
  *
  * The fuzz layer then enforces the global claim the tentpole rests on:
  * reclamation is *invisible* — verdict, firing event and charged thread
@@ -28,6 +35,7 @@
 #include "aerodrome/aerodrome_readopt.hpp"
 #include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
+#include "gen/patterns.hpp"
 #include "gen/random_program.hpp"
 #include "gen/rolling_stream.hpp"
 #include "sim/scheduler.hpp"
@@ -61,6 +69,16 @@ TEST(GcFrontier, PointwiseMinOverLiveClocks)
     EXPECT_EQ(f.get(0), 5u);
     EXPECT_EQ(f.get(1), 4u);
     EXPECT_EQ(f.get(2), 0u);
+    EXPECT_FALSE(f.pinned()); // two non-zero components
+
+    // A clock that never absorbed component 0 pins F to one component.
+    bank[1].set(0, 0);
+    f.reset(3);
+    f.accumulate(bank[0]);
+    f.accumulate(bank[1]);
+    EXPECT_TRUE(f.pinned());
+    f.reset(3);
+    EXPECT_TRUE(f.pinned()); // no live clock: all zero
 }
 
 TEST(GcFrontier, DeadnessIsAtOrBelowUnlessTheGateIsActive)
@@ -260,7 +278,6 @@ expect_no_alias()
 {
     Trace tr = churn_trace();
     Engine e(tr.num_threads(), tr.num_vars(), tr.num_locks());
-    e.set_gc(true);
     e.set_gc_sweep_every(1);
     RunResult r = run_checker(e, tr);
     EXPECT_FALSE(r.violation) << e.name()
@@ -295,12 +312,110 @@ TEST(EngineGc, RecyclingKeepsTheRowCountAtTheLivePopulation)
     Trace tr = b.take();
 
     AeroDromeOpt e(0, 0, 0);
-    e.set_gc(true);
     RunResult r = run_checker(e, tr);
     EXPECT_FALSE(r.violation);
     EXPECT_LE(e.thread_slots().slots(), 2u);
     EXPECT_EQ(e.thread_slots().retired(), 9u); // w0..w8
     EXPECT_EQ(e.thread_slots().recycled(), 8u); // w1..w8 reuse w(i-1)'s
+}
+
+/** A dead thread's "same thread as last time" facts must not pass to
+ *  the next owner of its slot. Thread a absorbs the long transaction of
+ *  c and touches x or l as `a_op` says; m joins a, and b — a fresh
+ *  thread that reuses a's slot — touches them as `b_op` says, then
+ *  writes w, which c reads: the cycle c -> a -> b -> c is real. Were b
+ *  to inherit a's last-writer, last-releaser or reader facts, it would
+ *  skip the check that orders it after a, and the cycle would go
+ *  unseen. */
+Trace
+inherited_fact_trace(int variant)
+{
+    TraceBuilder b;
+    b.begin("c").write("c", "z");
+    b.begin("a").read("a", "z");
+    switch (variant) {
+      case 0: b.write("a", "x"); break;
+      case 1: b.acquire("a", "l").release("a", "l"); break;
+      default: b.read("a", "x"); break;
+    }
+    b.end("a");
+    b.join("m", "a");
+    b.begin("b");
+    switch (variant) {
+      case 0: b.read("b", "x"); break;
+      case 1: b.acquire("b", "l").release("b", "l"); break;
+      default: b.write("b", "x"); break;
+    }
+    b.write("b", "w").end("b");
+    b.read("c", "w").end("c");
+    return b.take();
+}
+
+template <typename Engine>
+void
+expect_facts_die_with_the_slot()
+{
+    for (int variant : {0, 1, 2}) {
+        Trace tr = inherited_fact_trace(variant);
+        Engine off(0, 0, 0);
+        off.set_gc(false);
+        RunResult ref = run_checker(off, tr);
+        Engine on(0, 0, 0); // default: reclamation on
+        RunResult r = run_checker(on, tr);
+        SCOPED_TRACE(::testing::Message()
+                     << on.name() << " variant " << variant);
+        ASSERT_TRUE(ref.violation);
+        ASSERT_TRUE(r.violation);
+        EXPECT_EQ(r.details->event_index, ref.details->event_index);
+        EXPECT_EQ(r.details->thread, ref.details->thread);
+        EXPECT_EQ(on.thread_slots().recycled(), 1u); // b reused a's slot
+    }
+}
+
+TEST(EngineGc, DeadThreadsFactsDieWithTheSlot)
+{
+    expect_facts_die_with_the_slot<AeroDromeBasic>();
+    expect_facts_die_with_the_slot<AeroDromeReadOpt>();
+    expect_facts_die_with_the_slot<AeroDromeOpt>();
+    expect_facts_die_with_the_slot<AeroDromeTuned>();
+}
+
+/** Joins cost the retiree's own state, not the table: m writes 100k
+ *  variables, then forks, runs and joins short tasks that each touch one
+ *  variable. Every retirement may visit only what the task itself left
+ *  behind. */
+template <typename Engine>
+void
+expect_join_touches_only_own_state()
+{
+    constexpr uint32_t kVars = 100000;
+    constexpr uint32_t kTasks = 16;
+    Trace tr;
+    for (uint32_t x = 0; x < kVars; ++x)
+        tr.write(0, x);
+    for (uint32_t i = 0; i < kTasks; ++i) {
+        const ThreadId task = 1 + i;
+        tr.fork(0, task);
+        tr.begin(task);
+        tr.read(task, i);
+        tr.write(task, i);
+        tr.end(task);
+        tr.join(0, task);
+    }
+    Engine e(0, 0, 0);
+    RunResult r = run_checker(e, tr);
+    ASSERT_FALSE(r.violation) << e.name();
+    EXPECT_EQ(e.thread_slots().retired(), kTasks) << e.name();
+    // At most the one variable each task read and wrote.
+    EXPECT_LE(e.stats().retire_visited, kTasks) << e.name();
+}
+
+TEST(EngineGc, JoinCostIsTheSlotsOwnStateNotTheTable)
+{
+    expect_join_touches_only_own_state<AeroDromeBasic>();
+    expect_join_touches_only_own_state<AeroDromeReadOpt>();
+    expect_join_touches_only_own_state<AeroDromeOpt>();
+    expect_join_touches_only_own_state<AeroDromeTuned>();
 }
 
 // ---------------------------------------------------------------------
@@ -417,6 +532,58 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GcParityFuzz,
                          ::testing::Range<uint64_t>(2000, 2040));
 
 // ---------------------------------------------------------------------
+// Pinned frontier: a live thread that never absorbs the others holds
+// every other component of the frontier at 0, so sweeps skip their
+// table walk — and the verdict must not notice.
+
+template <typename Engine>
+RunResult
+run_star(const Trace& tr, int mode, uint64_t* walks_skipped = nullptr)
+{
+    Engine e(0, 0, 0);
+    if (mode == 0)
+        e.set_gc(false);
+    else if (mode == 2)
+        e.set_gc_sweep_every(1);
+    RunResult r = run_checker(e, tr);
+    if (walks_skipped != nullptr) {
+        for (const auto& [name, value] : e.counters())
+            if (name == "gc_walks_skipped")
+                *walks_skipped = value;
+    }
+    return r;
+}
+
+template <typename Engine>
+void
+expect_pinned_sweeps_skip()
+{
+    // The star's feeder holds one transaction open for the whole run
+    // and reads nothing, so its clock pins the frontier.
+    gen::StarOptions opts;
+    opts.producers = 3;
+    opts.consumers = 3;
+    opts.rounds = 2000;
+    opts.violation_at_end = true;
+    Trace tr = gen::make_star(opts);
+
+    uint64_t skipped = 0;
+    RunResult def = run_star<Engine>(tr, 1, &skipped);
+    EXPECT_GT(skipped, 0u) << Engine(0, 0, 0).name();
+    ASSERT_TRUE(def.violation);
+    expect_same_outcome("gc off", run_star<Engine>(tr, 0), def);
+    expect_same_outcome("sweep every end", run_star<Engine>(tr, 2), def);
+}
+
+TEST(EngineGc, PinnedFrontierSkipsTheWalkNotTheVerdict)
+{
+    expect_pinned_sweeps_skip<AeroDromeBasic>();
+    expect_pinned_sweeps_skip<AeroDromeReadOpt>();
+    expect_pinned_sweeps_skip<AeroDromeOpt>();
+    expect_pinned_sweeps_skip<AeroDromeTuned>();
+}
+
+// ---------------------------------------------------------------------
 // Rolling-stream sanity: the churn workload is violation-free by
 // construction; with gc on and heavy churn, every engine must still say
 // "no violation", slots must actually recycle, and entries must
@@ -437,7 +604,6 @@ expect_clean_stream()
     gen::RollingStreamSource src(opts);
 
     Engine e(0, 0, 0);
-    e.set_gc(true);
     e.set_gc_sweep_every(8);
     RunResult r = run_checker_stream(e, src);
     EXPECT_FALSE(r.violation) << e.name();

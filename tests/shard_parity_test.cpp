@@ -24,10 +24,10 @@
  * identical to the threaded pipeline (enforced by shard_test); a
  * threaded spot check runs on a small subset here.
  *
- * Reclamation (AERO_GC / set_gc) must be verdict-invisible: a corpus
- * pass runs gc-on engines (sweep forced every transaction end) single
- * and sharded against the gc-off baseline. CI additionally re-runs the
- * whole suite under AERO_GC=1, which flips every engine's default.
+ * Reclamation (on by default; set_gc(false) is the reference path) must
+ * be verdict-invisible: a corpus pass runs gc-on engines (sweep forced
+ * every transaction end) single and sharded against the gc-off
+ * baseline. Every other test here runs the engines' default, gc on.
  *
  * The transport block size (ShardOptions::batch_size) is pure plumbing
  * and must be verdict-invariant: a dedicated sweep holds the threaded
@@ -97,9 +97,9 @@ baseline(const Trace& t, bool epochs)
     return run_checker(engine, t);
 }
 
-/** Factory with reclamation forced on (independent of AERO_GC) and the
- *  sweep hook at every transaction end, so sweeps actually interleave
- *  with the merge cadence instead of waiting for table growth. */
+/** Factory with the sweep hook at every transaction end, so sweeps
+ *  actually interleave with the merge cadence instead of waiting for
+ *  table growth. */
 template <typename Engine>
 EngineFactory
 gc_factory(bool epochs)
@@ -107,7 +107,6 @@ gc_factory(bool epochs)
     return [epochs] {
         auto engine = std::make_unique<Engine>(0, 0, 0);
         engine->set_epochs(epochs);
-        engine->set_gc(true);
         engine->set_gc_sweep_every(1);
         return engine;
     };
@@ -316,6 +315,20 @@ TEST_P(ShardParity, EpochModeMatchesSingleEngineEventForEvent)
     expect_epoch_mode_exact<AeroDromeTuned>(t, &hash_shard_policy);
 }
 
+/** One engine over `t`, epochs on: gc off (the reference path), or gc
+ *  on with a sweep at every transaction end. */
+template <typename Engine>
+RunResult
+single_run(const Trace& t, bool gc)
+{
+    Engine e(t.num_threads(), t.num_vars(), t.num_locks());
+    e.set_epochs(true);
+    e.set_gc(gc);
+    if (gc)
+        e.set_gc_sweep_every(1);
+    return run_checker(e, t);
+}
+
 TEST_P(ShardParity, GcOnReproducesTheGcOffVerdict)
 {
     const ParityParams& p = GetParam();
@@ -337,22 +350,13 @@ TEST_P(ShardParity, GcOnReproducesTheGcOffVerdict)
         }
     };
 
-    auto single_gc = [&](auto tag) {
-        using Engine = decltype(tag);
-        Engine e(t.num_threads(), t.num_vars(), t.num_locks());
-        e.set_epochs(true);
-        e.set_gc(true);
-        e.set_gc_sweep_every(1);
-        return run_checker(e, t);
-    };
-
-    const RunResult opt_off = baseline<AeroDromeOpt>(t, true);
-    check(single_gc(AeroDromeOpt(0, 0, 0)), opt_off,
+    const RunResult opt_off = single_run<AeroDromeOpt>(t, false);
+    check(single_run<AeroDromeOpt>(t, true), opt_off,
           "single-engine opt gc on");
-    check(single_gc(AeroDromeBasic(0, 0, 0)),
-          baseline<AeroDromeBasic>(t, true), "single-engine basic gc on");
-    const RunResult tuned_off = baseline<AeroDromeTuned>(t, true);
-    check(single_gc(AeroDromeTuned(0, 0, 0)), tuned_off,
+    check(single_run<AeroDromeBasic>(t, true),
+          single_run<AeroDromeBasic>(t, false), "single-engine basic gc on");
+    const RunResult tuned_off = single_run<AeroDromeTuned>(t, false);
+    check(single_run<AeroDromeTuned>(t, true), tuned_off,
           "single-engine tuned gc on");
 
     for (uint32_t shards : {2u, 4u}) {

@@ -2,9 +2,10 @@
  * @file
  * Memory soak: on an unbounded-style rolling stream (thread churn +
  * working-set drift, gen/rolling_stream.hpp), engine memory_bytes()
- * must *plateau* once reclamation is on — the second half of the run
- * may not exceed the first half's high-water mark by more than 10% —
- * with and without sharding. The contrast test pins the converse: with
+ * must *plateau* — the second half of the run may not exceed the first
+ * half's high-water mark by more than 10% — with and without sharding.
+ * The engines are default-constructed: reclamation is their default,
+ * with no set_gc call. The contrast test pins the converse: with
  * gc off the same stream grows the footprint without bound (the thread
  * id space alone inflates every clock), so the plateau is evidence the
  * GC works, not that the workload is small.
@@ -92,25 +93,33 @@ void
 expect_plateau()
 {
     const uint64_t n = soak_events();
-    Engine e(0, 0, 0);
-    e.set_gc(true);
+    Engine e(0, 0, 0); // default settings: no set_gc call
+    ASSERT_TRUE(e.gc_enabled()) << e.name();
     auto [first, second] = sample_halves(e, n);
     ASSERT_GT(first, 0u);
     EXPECT_LE(second, first + first / 10)
         << e.name() << ": memory grew past the first-half high-water mark "
         << "(" << first << " -> " << second << " bytes)";
-    // The plateau must come from actual reclamation, not slack.
+    // The plateau must come from actual reclamation, not slack: joined
+    // threads' slots were retired and reissued, and sweeps ran.
+    EXPECT_GT(e.thread_slots().retired(), 0u) << e.name();
     EXPECT_GT(e.thread_slots().recycled(), 0u) << e.name();
     EXPECT_GT(e.gc_sweeps(), 0u) << e.name();
 }
 
-TEST(SoakMemory, OptPlateausWithGc) { expect_plateau<AeroDromeOpt>(); }
-TEST(SoakMemory, TunedPlateausWithGc) { expect_plateau<AeroDromeTuned>(); }
-TEST(SoakMemory, ReadOptPlateausWithGc)
+TEST(SoakMemory, OptPlateausByDefault) { expect_plateau<AeroDromeOpt>(); }
+TEST(SoakMemory, TunedPlateausByDefault)
+{
+    expect_plateau<AeroDromeTuned>();
+}
+TEST(SoakMemory, ReadOptPlateausByDefault)
 {
     expect_plateau<AeroDromeReadOpt>();
 }
-TEST(SoakMemory, BasicPlateausWithGc) { expect_plateau<AeroDromeBasic>(); }
+TEST(SoakMemory, BasicPlateausByDefault)
+{
+    expect_plateau<AeroDromeBasic>();
+}
 
 TEST(SoakMemory, WithoutGcTheSameStreamGrows)
 {
@@ -126,17 +135,13 @@ TEST(SoakMemory, WithoutGcTheSameStreamGrows)
         << "longer stresses reclamation";
 }
 
-TEST(SoakMemory, ShardedRunStaysFlatWithGc)
+TEST(SoakMemory, ShardedRunStaysFlatByDefault)
 {
     // The sharded runner reports per-shard memory only at end of run, so
     // the plateau check compares a half-length against a full-length
     // run: near-equal end footprints mean the second half added nothing.
     const uint64_t n = soak_events() / 2;
-    auto factory = [] {
-        auto e = std::make_unique<AeroDromeOpt>(0, 0, 0);
-        e->set_gc(true);
-        return e;
-    };
+    auto factory = [] { return std::make_unique<AeroDromeOpt>(0, 0, 0); };
     ShardOptions opts;
     opts.shards = 2;
 
