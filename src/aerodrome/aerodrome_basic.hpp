@@ -44,7 +44,6 @@
 #include "analysis/checker.hpp"
 #include "analysis/thread_slots.hpp"
 #include "analysis/txn_tracker.hpp"
-#include "support/counter.hpp"
 #include "trace/trace.hpp"
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
@@ -56,20 +55,20 @@ namespace aero {
 /** Statistics for the evaluation harness. */
 struct AeroDromeStats {
     /** Number of vector-clock join operations performed. */
-    RelaxedCounter joins;
+    uint64_t joins = 0;
     /** Number of vector-clock ordering comparisons performed. */
-    RelaxedCounter comparisons;
+    uint64_t comparisons = 0;
     /** Table entries visited by end-event sweeps (basic/readopt): the
      *  update-set size when tracked, the whole table when not — the
      *  complexity-guard suite asserts this scales with the former. */
-    RelaxedCounter end_swept_entries;
+    uint64_t end_swept_entries = 0;
     /** Visited entries whose propagation gate was false (enrollment is an
      *  over-approximation; a full sweep skips most of the table). */
-    RelaxedCounter end_gate_skipped;
+    uint64_t end_gate_skipped = 0;
     /** Variables a slot retirement visited: only those the retiree's own
      *  update sets or reader list name, never the whole table — the gc
      *  suite's join-cost guard asserts this. */
-    RelaxedCounter retire_visited;
+    uint64_t retire_visited = 0;
 };
 
 /** AeroDrome, Algorithm 1 (basic). */
@@ -83,12 +82,6 @@ public:
     bool process(const Event& e, size_t index) override;
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
-
-    bool supports_frontier() const override { return true; }
-    void export_frontier(ClockFrontier& out) const override;
-    void adopt_frontier(const ClockFrontier& in) override;
-    void export_seed(EngineSeed& seed) const override;
-    void reseed(const EngineSeed& seed) override;
 
     const AeroDromeStats& stats() const { return stats_; }
 
@@ -207,7 +200,7 @@ private:
 
     /** W_x's table entry, allocated on first access of x — untouched
      *  variables own no entries, so the fused end sweep scales with the
-     *  variables actually seen (a shard sees only its partition). */
+     *  variables actually seen. */
     uint32_t w_slot(VarId x);
 
     void ensure_thread(ThreadId t);

@@ -57,13 +57,13 @@ namespace aero {
 /** Extra statistics for the optimized engine. */
 struct AeroDromeOptStats {
     /** End events whose propagation was skipped by hasIncomingEdge. */
-    RelaxedCounter gc_skipped_ends;
+    uint64_t gc_skipped_ends = 0;
     /** End events that ran the full propagation. */
-    RelaxedCounter propagated_ends;
+    uint64_t propagated_ends = 0;
     /** Lazy read enrollments that avoided an eager clock join. */
-    RelaxedCounter lazy_reads;
+    uint64_t lazy_reads = 0;
     /** Lazy write enrollments that avoided an eager clock copy. */
-    RelaxedCounter lazy_writes;
+    uint64_t lazy_writes = 0;
 };
 
 /** AeroDrome, Algorithm 3 (lazy updates + update sets + GC). */
@@ -77,15 +77,6 @@ public:
     bool process(const Event& e, size_t index) override;
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
-
-    bool supports_frontier() const override { return true; }
-    /** Lazy stale-write/stale-reader state: conflict checks consult the
-     *  last accessor's live clock (optimization 1 above). */
-    bool uses_live_clock_proxies() const override { return true; }
-    void export_frontier(ClockFrontier& out) const override;
-    void adopt_frontier(const ClockFrontier& in) override;
-    void export_seed(EngineSeed& seed) const override;
-    void reseed(const EngineSeed& seed) override;
 
     const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }

@@ -53,9 +53,9 @@ namespace aero {
 /** Extra statistics for the tuned engine. */
 struct AeroDromeTunedStats {
     /** Reads skipped by the same-epoch fast path. */
-    RelaxedCounter same_epoch_reads;
+    uint64_t same_epoch_reads = 0;
     /** Writes skipped by the same-epoch fast path. */
-    RelaxedCounter same_epoch_writes;
+    uint64_t same_epoch_writes = 0;
 };
 
 /** AeroDrome with active-thread and same-epoch fast paths. */
@@ -69,14 +69,6 @@ public:
     bool process(const Event& e, size_t index) override;
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
-
-    bool supports_frontier() const override { return true; }
-    /** Same lazy stale-write/stale-reader proxies as AeroDromeOpt. */
-    bool uses_live_clock_proxies() const override { return true; }
-    void export_frontier(ClockFrontier& out) const override;
-    void adopt_frontier(const ClockFrontier& in) override;
-    void export_seed(EngineSeed& seed) const override;
-    void reseed(const EngineSeed& seed) override;
 
     const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }

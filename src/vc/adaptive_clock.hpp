@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/counter.hpp"
 #include "trace/event.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/epoch.hpp"
@@ -57,26 +56,24 @@ bool epochs_enabled_default();
  *  hatch. */
 bool update_sets_enabled_default();
 
-/** Counters for the evaluation harness and the runner's report.
- *  Single-writer relaxed atomics (support/counter.hpp): safe to read
- *  from another thread while the owning shard worker keeps counting. */
+/** Counters for the evaluation harness and the runner's report. */
 struct AdaptiveClockStats {
     /** Operations resolved in O(1): the entry stayed (or was read as) an
      *  epoch, or a pure source reduced the update to one component of an
      *  inflated row. The "fast path carried it" count. */
-    RelaxedCounter epoch_fast;
+    uint64_t epoch_fast = 0;
     /** O(dim) operations on inflated entries (the bank slow path). */
-    RelaxedCounter vector_ops;
+    uint64_t vector_ops = 0;
     /** Entries promoted epoch -> arena row. */
-    RelaxedCounter inflations;
+    uint64_t inflations = 0;
     /** Entries enrolled into a thread's update window (unique per
      *  (entry, open window); see open_update_window). */
-    RelaxedCounter upd_enrolled;
+    uint64_t upd_enrolled = 0;
     /** Dead entries reset to bottom by gc_reclaim (README,
      *  "Reclamation"). */
-    RelaxedCounter gc_reclaimed;
+    uint64_t gc_reclaimed = 0;
     /** Arena rows returned to the row free-list by gc_reclaim. */
-    RelaxedCounter gc_rows_freed;
+    uint64_t gc_rows_freed = 0;
 };
 
 /**
@@ -162,12 +159,9 @@ public:
     // sweeps at end events may therefore visit only the enrolled entries
     // instead of the whole table; enrollment is an over-approximation
     // (assign can lower a component again), so sweeps still apply the
-    // real gate. Frontier adoption never touches table entries and gate
-    // values are frozen for the life of a transaction, so merges in the
-    // sharded runner preserve the invariant; reseeding does not (it can
-    // grow cb_t mid-transaction), so reseeded engines must reopen windows
-    // via reopen-after-reseed (untracked when the table is already
-    // populated — the end sweep then falls back to the full table).
+    // real gate. Gate values are frozen for the life of a transaction:
+    // cb_t changes only at t's own outermost begin, which reopens the
+    // window.
 
     /** Toggle update-set tracking (default from AERO_UPDATE_SETS; call
      *  before feeding events). Off = every window untracked = full-table
@@ -215,7 +209,8 @@ public:
         }
     }
 
-    /** Drop t's window entirely (after its end sweep, or on reseed). */
+    /** Drop t's window entirely (after its end sweep, or when t's slot
+     *  is retired). */
     void
     close_update_window(ThreadId t)
     {
@@ -492,7 +487,7 @@ public:
     size_t arena_rows() const { return arena_rows_; }
 
     /** Bytes held by the entry words, the inflation arena and the
-     *  update-window bookkeeping (per-shard memory accounting). */
+     *  update-window bookkeeping (engine memory accounting). */
     size_t
     memory_bytes() const
     {

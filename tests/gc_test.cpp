@@ -172,7 +172,7 @@ TEST_F(TableGcTest, EntryAtActiveGateSurvivesOneBelowIsReclaimed)
     EXPECT_EQ(live, 1u);
     EXPECT_EQ(tbl_.to_vector_clock(at), (VectorClock{0, 5}));
     EXPECT_TRUE(tbl_.is_bottom(below));
-    EXPECT_EQ(tbl_.stats().gc_reclaimed.load(), 1u);
+    EXPECT_EQ(tbl_.stats().gc_reclaimed, 1u);
 }
 
 TEST_F(TableGcTest, SettledEntryAtFrontierIsReclaimed)
@@ -199,7 +199,7 @@ TEST_F(TableGcTest, DeadInflatedRowReturnsToTheArenaFreeList)
     EXPECT_EQ(live, 0u);
     EXPECT_EQ(tbl_.arena_rows_live(), 0u);
     EXPECT_TRUE(tbl_.is_bottom(i));
-    EXPECT_EQ(tbl_.stats().gc_rows_freed.load(), 1u);
+    EXPECT_EQ(tbl_.stats().gc_rows_freed, 1u);
 
     // The freed row is reused before the arena grows.
     size_t rows_before = tbl_.arena_rows();

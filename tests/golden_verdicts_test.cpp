@@ -6,10 +6,10 @@
  * thread) of every engine — the four AeroDrome variants with the
  * epoch-adaptive storage on and off, plus the two Velodrome baselines —
  * over a deterministic corpus: the fuzz-program seeds the differential
- * suites use and the adversarial cross-shard families. Any future engine
- * change that silently shifts a verdict (a check reordered, a gate
- * loosened, a generator drifting) fails this test loudly with the exact
- * corpus line that moved.
+ * suites use and the adversarial carrier-chain families. Any future
+ * engine change that silently shifts a verdict (a check reordered, a
+ * gate loosened, a generator drifting) fails this test loudly with the
+ * exact corpus line that moved.
  *
  * The expected file is checked in at tests/golden/verdicts.txt. To
  * regenerate after an *intentional* verdict change:
@@ -99,7 +99,7 @@ make_corpus()
     }
     for (uint32_t hops : {1u, 2u, 3u}) {
         for (int variant = 0; variant < 4; ++variant) {
-            gen::CrossShardAdversaryOptions o;
+            gen::CarrierChainOptions o;
             o.hops = hops;
             o.open_carriers = (variant != 1);
             o.close_by_write = (variant == 2);
@@ -107,7 +107,7 @@ make_corpus()
             char name[64];
             std::snprintf(name, sizeof(name), "adversary(hops=%u,v=%d)",
                           hops, variant);
-            out.push_back({name, gen::make_cross_shard_adversary(o)});
+            out.push_back({name, gen::make_carrier_chain(o)});
         }
     }
     return out;

@@ -3,7 +3,7 @@
  * Memory soak: on an unbounded-style rolling stream (thread churn +
  * working-set drift, gen/rolling_stream.hpp), engine memory_bytes()
  * must *plateau* — the second half of the run may not exceed the first
- * half's high-water mark by more than 10% — with and without sharding.
+ * half's high-water mark by more than 10%.
  * The engines are default-constructed: reclamation is their default,
  * with no set_gc call. The contrast test pins the converse: with
  * gc off the same stream grows the footprint without bound (the thread
@@ -30,7 +30,6 @@
 #include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/rolling_stream.hpp"
-#include "shard/sharded_runner.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -135,36 +134,7 @@ TEST(SoakMemory, WithoutGcTheSameStreamGrows)
         << "longer stresses reclamation";
 }
 
-TEST(SoakMemory, ShardedRunStaysFlatByDefault)
-{
-    // The sharded runner reports per-shard memory only at end of run, so
-    // the plateau check compares a half-length against a full-length
-    // run: near-equal end footprints mean the second half added nothing.
-    const uint64_t n = soak_events() / 2;
-    auto factory = [] { return std::make_unique<AeroDromeOpt>(0, 0, 0); };
-    ShardOptions opts;
-    opts.shards = 2;
-
-    auto total_memory = [&](uint64_t events) {
-        gen::RollingStreamSource src(stream_opts(events));
-        ShardRunResult r = run_sharded(factory, src, opts);
-        EXPECT_FALSE(r.result.violation);
-        uint64_t total = 0;
-        for (uint64_t m : r.shard_memory_bytes)
-            total += m;
-        EXPECT_GT(total, 0u);
-        return total;
-    };
-
-    uint64_t half = total_memory(n / 2);
-    uint64_t full = total_memory(n);
-    EXPECT_LE(full, half + half / 10)
-        << "sharded footprint grew with trace length despite gc ("
-        << half << " -> " << full << " bytes)";
-}
-
-#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
-    !defined(__SANITIZE_THREAD__)
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
 
 /** In-use heap bytes (glibc). */
 size_t
@@ -198,7 +168,7 @@ TEST(SoakMemory, AccountingCoversTheMallocDelta)
         << " malloc-observed bytes";
 }
 
-#endif // __GLIBC__ && !ASan && !TSan
+#endif // __GLIBC__ && !ASan
 
 } // namespace
 } // namespace aero

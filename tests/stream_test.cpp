@@ -2,7 +2,8 @@
  * @file
  * Tests for the streaming event sources and the streaming runner:
  * equivalence with the materialized path, incremental interning,
- * truncation handling, and constant-memory verdicts.
+ * truncation handling, constant-memory verdicts, and the dimension hints
+ * a streamed run forwards to reserve().
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
+#include "gen/random_program.hpp"
+#include "sim/scheduler.hpp"
 #include "support/assert.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
@@ -31,6 +34,25 @@ sample_trace()
     b.begin("t0").read("t0", "x").end("t0");
     b.join("t0", "t1");
     return b.take();
+}
+
+/** A seeded random-program trace (4 threads, 6 vars, 2 locks). */
+Trace
+fuzz_trace(uint64_t seed)
+{
+    gen::RandomProgramOptions opts;
+    opts.seed = seed;
+    opts.threads = 4;
+    opts.shared_vars = 6;
+    opts.locks = 2;
+    opts.txn_probability = 0.8;
+    opts.steps_per_thread = 50;
+    sim::Program prog = gen::make_random_program(opts);
+    sim::SchedulerOptions sched;
+    sched.seed = seed * 7919 + 13;
+    sim::SimResult sim = sim::run_program(prog, sched);
+    EXPECT_FALSE(sim.deadlocked);
+    return std::move(sim.trace);
 }
 
 std::vector<Event>
@@ -161,6 +183,61 @@ TEST(StreamRunner, MissingFileThrows)
     std::unique_ptr<std::istream> storage;
     EXPECT_THROW(open_event_source("/nonexistent/foo.trace", storage),
                  FatalError);
+}
+
+// --- Streamed reserve (metainfo dimensions) ---------------------------------
+
+/** Probe checker recording what reserve() was called with. */
+class ReserveProbe : public CheckerBase {
+public:
+    std::string_view name() const override { return "probe"; }
+    bool process(const Event&, size_t) override { return false; }
+
+    void
+    reserve(uint32_t threads, uint32_t vars, uint32_t locks) override
+    {
+        reserved_threads = threads;
+        reserved_vars = vars;
+        reserved_locks = locks;
+    }
+
+    uint32_t reserved_threads = 0;
+    uint32_t reserved_vars = 0;
+    uint32_t reserved_locks = 0;
+};
+
+TEST(StreamReserve, BinarySourceForwardsHeaderDimensions)
+{
+    Trace t = fuzz_trace(51);
+    std::stringstream buf;
+    write_binary(buf, t);
+    BinaryEventSource source(buf);
+
+    ReserveProbe probe;
+    RunResult r = run_checker_stream(probe, source);
+    EXPECT_EQ(r.events_processed, t.size());
+    EXPECT_EQ(probe.reserved_threads, t.num_threads());
+    EXPECT_EQ(probe.reserved_vars, t.num_vars());
+    EXPECT_EQ(probe.reserved_locks, t.num_locks());
+}
+
+TEST(StreamReserve, TraceSourceForwardsTraceDimensions)
+{
+    Trace t = fuzz_trace(52);
+    TraceSource source(t);
+    ReserveProbe probe;
+    run_checker_stream(probe, source);
+    EXPECT_EQ(probe.reserved_threads, t.num_threads());
+    EXPECT_EQ(probe.reserved_vars, t.num_vars());
+    EXPECT_EQ(probe.reserved_locks, t.num_locks());
+}
+
+TEST(StreamReserve, TextSourceHasNoUpfrontDimensions)
+{
+    std::stringstream text("t1 w x\nt2 r x\n");
+    TextEventSource source(text);
+    uint32_t a = 0, b = 0, c = 0;
+    EXPECT_FALSE(source.dimensions(a, b, c));
 }
 
 } // namespace
