@@ -1,6 +1,7 @@
 #include "aerodrome/aerodrome_opt.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace aero {
 
@@ -19,10 +20,7 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
     upd_w_.resize(num_threads);
     parent_thread_.assign(num_threads, kNoThread);
     parent_txn_seq_.assign(num_threads, 0);
-    if (num_vars > 0)
-        ensure_var(num_vars - 1);
-    if (num_locks > 0)
-        ensure_lock(num_locks - 1);
+    reserve(0, num_vars, num_locks);
 }
 
 void
@@ -31,10 +29,15 @@ AeroDromeOpt::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
     // With gc on the hint counts external tids; rows are recycled slots.
     if (threads > 0 && !gc_)
         ensure_thread(threads - 1);
-    if (vars > 0)
-        ensure_var(vars - 1);
     if (locks > 0)
         ensure_lock(locks - 1);
+    // Variables get their record and entries at first touch; only the id
+    // map is written here, the rest is capacity no page of which is
+    // touched until a variable claims it.
+    if (vars > var_idx_.size())
+        var_idx_.resize(vars, kUntouched);
+    vars_.reserve(vars);
+    tbl_.reserve_entries(lock_slot_.size() + size_t{3} * vars);
 }
 
 void
@@ -66,18 +69,55 @@ AeroDromeOpt::ensure_thread(ThreadId t)
     }
 }
 
-void
-AeroDromeOpt::ensure_var(VarId x)
+uint32_t
+AeroDromeOpt::touch_var(VarId x)
 {
-    while (x >= var_base_.size()) {
-        uint32_t base = tbl_.add_entry(); // W_x
-        tbl_.add_entry();                 // R_x
-        tbl_.add_entry();                 // hR_x
-        var_base_.push_back(base);
-        last_w_.push_back(SlotTags::kNone);
-        stale_write_.push_back(0);
-        stale_readers_.emplace_back();
+    if (x >= var_idx_.size())
+        var_idx_.resize(size_t{x} + 1, kUntouched);
+    const uint32_t vi = static_cast<uint32_t>(vars_.size());
+    const uint32_t base = tbl_.add_entry(); // W_x
+    tbl_.add_entry();                       // R_x
+    tbl_.add_entry();                       // hR_x
+    vars_.push_back({SlotTags::kNone, base, kNoSpill, 0, 0, {}});
+    var_idx_[x] = vi;
+    return vi;
+}
+
+void
+AeroDromeOpt::add_stale_reader(VarState& v, ThreadId t)
+{
+    if (std::find(readers_begin(v), readers_end(v), t) != readers_end(v))
+        return;
+    if (v.spill != kNoSpill) {
+        spill_[v.spill].push_back(t);
+    } else if (v.n_readers < std::size(v.readers)) {
+        v.readers[v.n_readers++] = t;
+    } else {
+        v.spill = static_cast<uint32_t>(spill_.size());
+        spill_.emplace_back(v.readers, v.readers + v.n_readers);
+        spill_.back().push_back(t);
+        v.n_readers = 0;
     }
+}
+
+bool
+AeroDromeOpt::drop_stale_reader(VarState& v, ThreadId t)
+{
+    if (v.spill != kNoSpill) {
+        auto& sr = spill_[v.spill];
+        auto it = std::find(sr.begin(), sr.end(), t);
+        if (it == sr.end())
+            return false;
+        sr.erase(it);
+        return true;
+    }
+    ThreadId* end = v.readers + v.n_readers;
+    ThreadId* it = std::find(v.readers, end, t);
+    if (it == end)
+        return false;
+    std::copy(it + 1, end, it);
+    --v.n_readers;
+    return true;
 }
 
 void
@@ -167,20 +207,22 @@ AeroDromeOpt::has_incoming_edge(ThreadId t) const
 }
 
 void
-AeroDromeOpt::flush_stale_readers(VarId x)
+AeroDromeOpt::flush_stale_readers(VarState& v)
 {
-    const size_t base = var_base_[x];
-    for (ThreadId u : stale_readers_[x]) {
+    const size_t base = v.base;
+    for (ThreadId *u = readers_begin(v), *e = readers_end(v); u != e; ++u) {
         stats_.joins += 2;
-        const bool pure = pure_of(u);
-        tbl_.join(base + 1, c_[u], u, pure);        // R_x
-        tbl_.join_except(base + 2, c_[u], u, pure); // hR_x
+        const bool pure = pure_of(*u);
+        tbl_.join(base + 1, c_[*u], *u, pure);        // R_x
+        tbl_.join_except(base + 2, c_[*u], *u, pure); // hR_x
     }
-    stale_readers_[x].clear();
+    if (v.spill != kNoSpill)
+        spill_[v.spill].clear();
+    v.n_readers = 0;
 }
 
 void
-AeroDromeOpt::enroll_update_sets(ThreadId t, VarId x, bool is_write)
+AeroDromeOpt::enroll_update_sets(ThreadId t, uint32_t vi, bool is_write)
 {
     // Enroll x with every thread whose active transaction is ordered
     // before the current access: those transactions must push their final
@@ -189,7 +231,7 @@ AeroDromeOpt::enroll_update_sets(ThreadId t, VarId x, bool is_write)
     auto& sets = is_write ? upd_w_ : upd_r_;
     for (ThreadId u = 0; u < c_.rows(); ++u) {
         if (txns_.active(u) && cb_[u].get(u) <= c_[t].get(u))
-            sets[u].insert(x);
+            sets[u].insert(vi);
     }
 }
 
@@ -202,15 +244,14 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         // bookkeeping (Algorithm 3, lines 75-86).
         ++opt_stats_.gc_skipped_ends;
         const uint64_t tag = tags_[t];
-        for (VarId x : upd_r_[t].list) {
-            auto& sr = stale_readers_[x];
-            sr.erase(std::remove(sr.begin(), sr.end(), t), sr.end());
-        }
+        for (uint32_t vi : upd_r_[t].list)
+            drop_stale_reader(vars_[vi], t);
         upd_r_[t].clear();
-        for (VarId x : upd_w_[t].list) {
-            if (last_w_[x] == tag) {
-                stale_write_[x] = 0;
-                last_w_[x] = SlotTags::kNone;
+        for (uint32_t vi : upd_w_[t].list) {
+            VarState& v = vars_[vi];
+            if (v.last_w == tag) {
+                v.stale_write = 0;
+                v.last_w = SlotTags::kNone;
             }
         }
         upd_w_[t].clear();
@@ -246,25 +287,25 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
             tbl_.join(lock_slot_[l], ct, t, ct_pure);
         }
     }
-    for (VarId x : upd_w_[t].list) {
+    for (uint32_t vi : upd_w_[t].list) {
+        VarState& v = vars_[vi];
         // If another thread's *stale* write supersedes ours, skip: future
         // readers will pick the ordering up from that thread's live clock
         // (which already absorbed C_t via the thread loop above).
-        if (!stale_write_[x] || last_w_[x] == tag) {
+        if (!v.stale_write || v.last_w == tag) {
             ++stats_.joins;
-            tbl_.join(var_base_[x], ct, t, ct_pure);
+            tbl_.join(v.base, ct, t, ct_pure);
         }
-        if (last_w_[x] == tag)
-            stale_write_[x] = 0;
+        if (v.last_w == tag)
+            v.stale_write = 0;
     }
     upd_w_[t].clear();
-    for (VarId x : upd_r_[t].list) {
+    for (uint32_t vi : upd_r_[t].list) {
+        VarState& v = vars_[vi];
         stats_.joins += 2;
-        const size_t base = var_base_[x];
-        tbl_.join(base + 1, ct, t, ct_pure);
-        tbl_.join_except(base + 2, ct, t, ct_pure);
-        auto& sr = stale_readers_[x];
-        sr.erase(std::remove(sr.begin(), sr.end(), t), sr.end());
+        tbl_.join(v.base + 1, ct, t, ct_pure);
+        tbl_.join_except(v.base + 2, ct, t, ct_pure);
+        drop_stale_reader(v, t);
     }
     upd_r_[t].clear();
     return false;
@@ -337,30 +378,28 @@ AeroDromeOpt::process(const Event& e, size_t index)
       }
 
       case Op::kRead: {
-        const VarId x = target;
-        ensure_var(x);
-        const size_t base = var_base_[x];
+        const uint32_t vi = var_index(target);
+        VarState& v = vars_[vi];
+        const size_t base = v.base;
         const uint64_t tag = tags_[t];
-        if (last_w_[x] != tag) {
-            bool v;
-            if (stale_write_[x]) {
-                ThreadId lw = SlotTags::row(last_w_[x]);
-                v = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
-                                        index,
-                                        "read saw conflicting write");
+        if (v.last_w != tag) {
+            bool bad;
+            if (v.stale_write) {
+                ThreadId lw = SlotTags::row(v.last_w);
+                bad = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
+                                          index,
+                                          "read saw conflicting write");
             } else {
-                v = check_and_get_entry(base, t, index,
-                                        "read saw conflicting write");
+                bad = check_and_get_entry(base, t, index,
+                                          "read saw conflicting write");
             }
-            if (v)
+            if (bad)
                 return true;
         }
         if (txns_.active(t)) {
             // Lazy: defer the R_x/hR_x update to the next write of x or to
             // our transaction end.
-            auto& sr = stale_readers_[x];
-            if (std::find(sr.begin(), sr.end(), t) == sr.end())
-                sr.push_back(t);
+            add_stale_reader(v, t);
             ++opt_stats_.lazy_reads;
         } else {
             // Unary read: its transaction completes now; flush eagerly so
@@ -371,43 +410,43 @@ AeroDromeOpt::process(const Event& e, size_t index)
             tbl_.join(base + 1, c_[t], t, pure);
             tbl_.join_except(base + 2, c_[t], t, pure);
         }
-        enroll_update_sets(t, x, /*is_write=*/false);
+        enroll_update_sets(t, vi, /*is_write=*/false);
         return false;
       }
 
       case Op::kWrite: {
-        const VarId x = target;
-        ensure_var(x);
-        const size_t base = var_base_[x];
+        const uint32_t vi = var_index(target);
+        VarState& v = vars_[vi];
+        const size_t base = v.base;
         const uint64_t tag = tags_[t];
-        if (last_w_[x] != tag) {
-            bool v;
-            if (stale_write_[x]) {
-                ThreadId lw = SlotTags::row(last_w_[x]);
-                v = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
-                                        index,
-                                        "write saw conflicting write");
+        if (v.last_w != tag) {
+            bool bad;
+            if (v.stale_write) {
+                ThreadId lw = SlotTags::row(v.last_w);
+                bad = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
+                                          index,
+                                          "write saw conflicting write");
             } else {
-                v = check_and_get_entry(base, t, index,
-                                        "write saw conflicting write");
+                bad = check_and_get_entry(base, t, index,
+                                          "write saw conflicting write");
             }
-            if (v)
+            if (bad)
                 return true;
         }
-        flush_stale_readers(x);
+        flush_stale_readers(v);
         if (check_and_get_entry2(base + 2, base + 1, t, index,
                                  "write saw conflicting read")) {
             return true;
         }
         if (txns_.active(t)) {
-            stale_write_[x] = 1;
+            v.stale_write = 1;
             ++opt_stats_.lazy_writes;
         } else {
-            stale_write_[x] = 0;
+            v.stale_write = 0;
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
-        last_w_[x] = tag;
-        enroll_update_sets(t, x, /*is_write=*/true);
+        v.last_w = tag;
+        enroll_update_sets(t, vi, /*is_write=*/true);
         return false;
       }
     }
@@ -426,22 +465,20 @@ AeroDromeOpt::retire_slot(uint32_t s)
     // (A well-formed trace emptied both sets at s's last end.)
     const uint64_t tag = tags_[s];
     stats_.retire_visited += upd_w_[s].list.size() + upd_r_[s].list.size();
-    for (VarId x : upd_w_[s].list) {
-        if (last_w_[x] == tag && stale_write_[x]) {
-            tbl_.assign(var_base_[x], c_[s], s, pure_of(s));
-            stale_write_[x] = 0;
+    for (uint32_t vi : upd_w_[s].list) {
+        VarState& v = vars_[vi];
+        if (v.last_w == tag && v.stale_write) {
+            tbl_.assign(v.base, c_[s], s, pure_of(s));
+            v.stale_write = 0;
         }
     }
-    for (VarId x : upd_r_[s].list) {
-        auto& sr = stale_readers_[x];
-        auto it = std::find(sr.begin(), sr.end(), s);
-        if (it != sr.end()) {
+    for (uint32_t vi : upd_r_[s].list) {
+        VarState& v = vars_[vi];
+        if (drop_stale_reader(v, s)) {
             stats_.joins += 2;
-            const size_t base = var_base_[x];
             const bool pure = pure_of(s);
-            tbl_.join(base + 1, c_[s], s, pure);
-            tbl_.join_except(base + 2, c_[s], s, pure);
-            sr.erase(it);
+            tbl_.join(v.base + 1, c_[s], s, pure);
+            tbl_.join_except(v.base + 2, c_[s], s, pure);
         }
     }
     // The dead thread's last-writer and last-releaser facts expire with
@@ -487,17 +524,19 @@ size_t
 AeroDromeOpt::memory_bytes() const
 {
     size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
-    n += (lock_slot_.capacity() + var_base_.capacity()) * sizeof(uint32_t);
-    n += c_pure_.capacity() + stale_write_.capacity();
-    n += parent_thread_.capacity() * sizeof(ThreadId);
-    n += (last_rel_.capacity() + last_w_.capacity() +
-          parent_txn_seq_.capacity()) *
-         sizeof(uint64_t);
-    for (const auto& sr : stale_readers_)
+    n += (lock_slot_.capacity() + var_idx_.capacity()) * sizeof(uint32_t);
+    n += vars_.capacity() * sizeof(VarState);
+    n += spill_.capacity() * sizeof(spill_[0]);
+    for (const auto& sr : spill_)
         n += sr.capacity() * sizeof(ThreadId);
+    n += c_pure_.capacity();
+    n += parent_thread_.capacity() * sizeof(ThreadId);
+    n += (last_rel_.capacity() + parent_txn_seq_.capacity()) *
+         sizeof(uint64_t);
     for (const auto* sets : {&upd_r_, &upd_w_}) {
+        n += sets->capacity() * sizeof(UpdateSet);
         for (const auto& s : *sets)
-            n += s.list.capacity() * sizeof(VarId) + s.member.capacity();
+            n += s.list.capacity() * sizeof(uint32_t) + s.member.capacity();
     }
     n += slots_.memory_bytes() + tags_.memory_bytes() +
          sweeper_.memory_bytes() + txns_.memory_bytes();

@@ -38,6 +38,14 @@
  * entries), giving O(1) conflict checks and updates while the touched
  * state stays epoch-shaped, inflating into the shared arena on first
  * contention. Purity bits on C_t drive the fast paths.
+ *
+ * Per-variable state is stored in first-touch order: a variable's first
+ * access gives it the next dense index and one 32-byte VarState record
+ * (its W/R/hR entries, last writer, stale-write flag and stale readers),
+ * and the update sets hold dense indices. Variables used together sit
+ * together however scattered their ids are, and an end event walks its
+ * update set through records and table entries laid out in the order the
+ * variables were first touched.
  */
 
 #include <cstdint>
@@ -163,15 +171,68 @@ private:
     /** Algorithm 3's hasIncomingEdge(t), evaluated at t's end event. */
     bool has_incoming_edge(ThreadId t) const;
 
-    /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
-    void flush_stale_readers(VarId x);
+    /** Per-variable state of the paper's Algorithm 3 for one touched
+     *  variable x. Trivially copyable, so the record array relocates
+     *  with a plain copy. */
+    struct VarState {
+        /** Last writer of x, as an owner word of tags_. */
+        uint64_t last_w;
+        /** W_x's table entry; R_x is base + 1, hR_x is base + 2. */
+        uint32_t base;
+        /** kNoSpill while staleReaders_x fits in `readers`; else the
+         *  index of its list in spill_, which then holds the whole set
+         *  (and stays x's for the rest of the run). */
+        uint32_t spill;
+        /** staleWrite_x: W_x lags behind the last write, whose timestamp
+         *  is the live clock of the row last_w names (within that
+         *  thread's still-active transaction). */
+        uint8_t stale_write;
+        /** Live prefix of `readers` while spill == kNoSpill. */
+        uint8_t n_readers;
+        /** staleReaders_x: threads whose last read of x is not yet in
+         *  R_x, in insertion order. */
+        ThreadId readers[3];
+    };
+    static_assert(sizeof(VarState) == 32, "two records per cache line");
+    static constexpr uint32_t kNoSpill = UINT32_MAX;
+    static constexpr uint32_t kUntouched = UINT32_MAX;
 
-    /** Enroll x in the read/write update set of every thread with an
-     *  active transaction ordered before C_t. */
-    void enroll_update_sets(ThreadId t, VarId x, bool is_write);
+    /** Dense index of x, giving x a fresh record (and its three table
+     *  entries) on first touch. */
+    uint32_t
+    var_index(VarId x)
+    {
+        if (x < var_idx_.size() && var_idx_[x] != kUntouched)
+            return var_idx_[x];
+        return touch_var(x);
+    }
+    uint32_t touch_var(VarId x);
+
+    /** staleReaders_x of record v as a [first, last) range. */
+    ThreadId*
+    readers_begin(VarState& v)
+    {
+        return v.spill == kNoSpill ? v.readers : spill_[v.spill].data();
+    }
+    ThreadId*
+    readers_end(VarState& v)
+    {
+        return v.spill == kNoSpill ? v.readers + v.n_readers
+                                   : spill_[v.spill].data() +
+                                         spill_[v.spill].size();
+    }
+    void add_stale_reader(VarState& v, ThreadId t);
+    /** Remove t from staleReaders_x; false iff t was not in it. */
+    bool drop_stale_reader(VarState& v, ThreadId t);
+
+    /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
+    void flush_stale_readers(VarState& v);
+
+    /** Enroll variable `vi` (a dense index) in the read/write update set
+     *  of every thread with an active transaction ordered before C_t. */
+    void enroll_update_sets(ThreadId t, uint32_t vi, bool is_write);
 
     void ensure_thread(ThreadId t);
-    void ensure_var(VarId x);
     void ensure_lock(LockId l);
     void grow_dim(size_t n);
 
@@ -183,45 +244,45 @@ private:
     ClockBank cb_; // one row per thread
 
     /** L_l, W_x, R_x, hR_x — one adaptive table; var x occupies entries
-     *  var_base_[x] + {0: W, 1: R, 2: hR}. */
+     *  vars_[var_idx_[x]].base + {0: W, 1: R, 2: hR}, allocated at x's
+     *  first touch. */
     AdaptiveClockTable tbl_;
     std::vector<uint32_t> lock_slot_; // LockId -> entry
-    std::vector<uint32_t> var_base_;  // VarId -> W entry
+
+    /** VarId -> dense index into vars_ (kUntouched before first touch). */
+    std::vector<uint32_t> var_idx_;
+    /** One record per touched variable, in first-touch order. */
+    std::vector<VarState> vars_;
+    /** Stale-reader sets that outgrew their record's inline slots. */
+    std::vector<std::vector<ThreadId>> spill_;
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
     bool epochs_ = epochs_enabled_default();
 
-    /** Last releaser of l / last writer of x, as owner words of tags_. */
+    /** Last releaser of l, as an owner word of tags_. */
     std::vector<uint64_t> last_rel_;
-    std::vector<uint64_t> last_w_;
 
-    /** staleWrite_x: W_x lags behind the last write, whose timestamp is
-     *  the live clock of the row last_w_[x] names (within that thread's
-     *  still-active transaction). */
-    std::vector<uint8_t> stale_write_;
-    /** staleReaders_x: threads whose last read of x is not yet in R_x. */
-    std::vector<std::vector<ThreadId>> stale_readers_;
-
-    /** UpdateSet^r_t / UpdateSet^w_t as a list plus membership bytes. */
+    /** UpdateSet^r_t / UpdateSet^w_t as a list of dense variable indices
+     *  plus membership bytes indexed the same way. */
     struct UpdateSet {
-        std::vector<VarId> list;
-        std::vector<uint8_t> member; // indexed by VarId
+        std::vector<uint32_t> list;
+        std::vector<uint8_t> member;
         void
-        insert(VarId x)
+        insert(uint32_t vi)
         {
-            if (x >= member.size())
-                member.resize(x + 1, 0);
-            if (!member[x]) {
-                member[x] = 1;
-                list.push_back(x);
+            if (vi >= member.size())
+                member.resize(vi + 1, 0);
+            if (!member[vi]) {
+                member[vi] = 1;
+                list.push_back(vi);
             }
         }
         void
         clear()
         {
-            for (VarId x : list)
-                member[x] = 0;
+            for (uint32_t vi : list)
+                member[vi] = 0;
             list.clear();
         }
     };

@@ -127,6 +127,9 @@ public:
         return static_cast<uint32_t>(entries_.size() - 1);
     }
 
+    /** Reserve capacity for n entries (no entry is added). */
+    void reserve_entries(size_t n) { entries_.reserve(n); }
+
     /** Like add_entry, but prefers indices returned by gc_recycle_index
      *  (the retired per-thread reader entries of the basic engine), so a
      *  churning thread population reuses entry words instead of growing

@@ -96,6 +96,21 @@ round_to_line(size_t values)
     return (values + line - 1) / line * line;
 }
 
+/** The stride for dimension d grown from stride cur: a power of two
+ *  >= max(d, kMinStride) while that fits one line (so rows never straddle
+ *  a line), else whole lines, at least doubling the current stride. */
+size_t
+stride_for(size_t d, size_t cur)
+{
+    if (d <= ClockBank::kLineValues) {
+        size_t s = ClockBank::kMinStride;
+        while (s < d)
+            s *= 2;
+        return s;
+    }
+    return round_to_line(cur * 2 > d ? cur * 2 : d);
+}
+
 } // namespace
 
 void
@@ -127,7 +142,7 @@ ClockBank::ensure_rows(size_t n)
     if (n <= rows_)
         return;
     if (stride_ == 0)
-        stride_ = kLineValues; // dimension still 0: reserve one line
+        stride_ = kMinStride; // dimension still 0: the narrowest row
     if (n > row_cap_) {
         size_t new_cap = row_cap_ < 4 ? 4 : row_cap_ * 2;
         if (new_cap < n)
@@ -145,10 +160,7 @@ ClockBank::ensure_dim(size_t d)
     if (d <= dim_)
         return;
     if (d > stride_) {
-        size_t want = stride_ < kLineValues ? kLineValues : stride_ * 2;
-        if (want < d)
-            want = d;
-        size_t new_stride = round_to_line(want);
+        size_t new_stride = stride_for(d, stride_);
         if (row_cap_ == 0) {
             stride_ = new_stride; // nothing allocated yet
         } else {

@@ -14,12 +14,15 @@
  *
  *   row i  ->  data[i * stride .. i * stride + dim)
  *
- * with `stride` rounded up to a whole cache line (16 ClockValues = 64
- * bytes) and the base pointer 64-byte aligned, so every clock starts on a
- * cache-line boundary and a sweep over rows is a pure streaming access.
- * Components beyond `dim` (the padding) are kept zero at all times — the
- * vector-time bottom for threads not yet seen — which makes dimension
- * growth within the current stride free.
+ * with the base pointer 64-byte aligned and `stride` packed to the thread
+ * count: the next power of two >= max(dim, 4) while dim <= 16 (4, 8 or 16
+ * ClockValues, so 4, 2 or 1 rows share a 64-byte line and no row
+ * straddles two), whole cache lines above that. A sweep over rows is a
+ * pure streaming access either way, and a bank of 8-thread clocks takes
+ * half the bytes a line per row would. Components beyond `dim` (the
+ * padding) are kept zero at all times — the vector-time bottom for
+ * threads not yet seen — which makes dimension growth within the current
+ * stride free.
  *
  * Access is handle-based: `bank[i]` returns a ClockRef/ConstClockRef (raw
  * pointer + dimension). Refs are invalidated by ensure_rows/ensure_dim,
@@ -73,9 +76,9 @@ join(ClockValue* __restrict dst, const ClockValue* __restrict src, size_t n)
     }
 #endif
     if (n == 16) {
-        // Exactly one cache line (the padded-stride sweet spot): without
-        // AVX2 a constant-trip loop still inlines to straight-line SIMD
-        // with no loop overhead.
+        // Exactly one cache line (a 16-component row): without AVX2 a
+        // constant-trip loop still inlines to straight-line SIMD with no
+        // loop overhead.
         for (size_t i = 0; i < 16; ++i)
             dst[i] = dst[i] < src[i] ? src[i] : dst[i];
         return;
@@ -270,17 +273,20 @@ private:
 
 /**
  * A bank of `rows()` vector clocks, each of dimension `dim()`, stored
- * contiguously with cache-line-aligned rows.
+ * contiguously in rows that never straddle a cache line.
  *
  * Growth is amortized in both directions: row capacity doubles, and the
- * per-row stride doubles (in cache-line units) when the dimension
- * outgrows it, triggering a single re-layout copy. Padding components
- * (dim..stride) are zero at all times.
+ * per-row stride at least doubles (4 -> 8 -> 16 components, then whole
+ * lines) when the dimension outgrows it, triggering a single re-layout
+ * copy. Padding components (dim..stride) are zero at all times.
  */
 class ClockBank {
 public:
-    /** Components per cache line; strides are multiples of this. */
+    /** Components per cache line; strides above it are multiples of
+     *  this, strides up to it divide it. */
     static constexpr size_t kLineValues = 64 / sizeof(ClockValue);
+    /** The narrowest stride (16 bytes: four rows per line). */
+    static constexpr size_t kMinStride = 4;
 
     ClockBank() = default;
 
@@ -363,7 +369,7 @@ private:
     size_t rows_ = 0;    ///< live rows
     size_t row_cap_ = 0; ///< allocated rows
     size_t dim_ = 0;     ///< live components per row
-    size_t stride_ = 0;  ///< allocated components per row (multiple of 16)
+    size_t stride_ = 0;  ///< allocated components per row (4, 8, 16k)
 };
 
 } // namespace aero

@@ -120,6 +120,35 @@ TYPED_TEST(AeroDromeVariants, JoinAfterTransactionIsFine)
     EXPECT_FALSE(run<TypeParam>(b.trace()).violation);
 }
 
+TYPED_TEST(AeroDromeVariants, EveryOpenReaderOfAVariableIsTracked)
+{
+    // Five open transactions read x before w writes it (edges r_i -> w),
+    // then one reader reads w's y (w -> r_k), closing a cycle. Each of
+    // the five must close it, however many readers x has collected.
+    for (int k = 0; k < 5; ++k) {
+        TraceBuilder b;
+        const std::string r[5] = {"r0", "r1", "r2", "r3", "r4"};
+        for (const std::string& t : r)
+            b.begin(t).read(t, "x");
+        b.begin("w").write("w", "x").write("w", "y");
+        b.read(r[k], "y");
+        const Trace& t = b.trace();
+        RunResult res = run<TypeParam>(t);
+        ASSERT_TRUE(res.violation) << "closing reader r" << k;
+        EXPECT_EQ(res.details->event_index, t.size() - 1);
+        EXPECT_EQ(res.details->thread, static_cast<ThreadId>(k)); // r_k
+    }
+    // The same readers, all finished before the write: serializable.
+    TraceBuilder b;
+    for (const char* t : {"r0", "r1", "r2", "r3", "r4"})
+        b.begin(t).read(t, "x");
+    for (const char* t : {"r0", "r1", "r2", "r3", "r4"})
+        b.end(t);
+    b.begin("w").write("w", "x").write("w", "y").end("w");
+    b.begin("r2").read("r2", "y").write("r2", "x").end("r2");
+    EXPECT_FALSE(run<TypeParam>(b.trace()).violation);
+}
+
 // --- Nested and unary transactions (Section 4.1.4) ---------------------------
 
 TYPED_TEST(AeroDromeVariants, NestedBlocksUseOutermostOnly)

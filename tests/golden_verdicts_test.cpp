@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,8 +35,10 @@
 #include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/adversarial.hpp"
+#include "gen/patterns.hpp"
 #include "gen/random_program.hpp"
 #include "sim/scheduler.hpp"
+#include "support/rng.hpp"
 #include "velodrome/velodrome.hpp"
 #include "velodrome/velodrome_pk.hpp"
 
@@ -234,6 +237,114 @@ TEST(GoldenVerdicts, GcOnReproducesTheFixtureByteForByte)
     // The gc-on pass never regenerates: the fixture is defined by the
     // gc-off run, and gc must reproduce it.
     expect_matches_fixture(generate_golden(true), false);
+}
+
+// --- Renaming invariance ------------------------------------------------------
+//
+// Conflict serializability does not depend on what variables are called,
+// so every engine must give the same verdict, index, thread and reason on
+// a trace and on any renaming of its variable ids. This is evidence that
+// does not rest on engines agreeing with each other: it catches an engine
+// whose state layout or iteration order leaks into what it reports.
+
+/** `t` with every variable id x replaced by f(x). */
+Trace
+rename_vars(const Trace& t, const std::function<VarId(VarId)>& f)
+{
+    Trace out;
+    out.reserve(t.size());
+    for (Event e : t.events()) {
+        if (e.op == Op::kRead || e.op == Op::kWrite)
+            e.target = f(e.target);
+        out.push(e);
+    }
+    return out;
+}
+
+template <typename Engine>
+RunResult
+run_default(const Trace& t)
+{
+    Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
+    return run_checker(engine, t);
+}
+
+void
+expect_same_verdict(const RunResult& a, const RunResult& b,
+                    const std::string& where)
+{
+    ASSERT_EQ(a.violation, b.violation) << where;
+    EXPECT_EQ(a.events_processed, b.events_processed) << where;
+    if (a.violation) {
+        EXPECT_EQ(a.details->event_index, b.details->event_index) << where;
+        EXPECT_EQ(a.details->thread, b.details->thread) << where;
+        EXPECT_EQ(a.details->reason, b.details->reason) << where;
+    }
+}
+
+/** Run Engine on the original and on each renaming; with
+ *  `same_counters`, the engine's counters() must match too. */
+template <typename Engine>
+void
+expect_renaming_invariant(const Workload& w,
+                          const std::vector<Workload>& renamed,
+                          const char* engine, bool same_counters)
+{
+    const RunResult base = run_default<Engine>(w.trace);
+    for (const Workload& r : renamed) {
+        const RunResult got = run_default<Engine>(r.trace);
+        const std::string where = w.name + " " + r.name + " " + engine;
+        expect_same_verdict(base, got, where);
+        if (same_counters) {
+            EXPECT_EQ(base.counters, got.counters) << where;
+        }
+    }
+}
+
+TEST(GoldenVerdicts, VerdictsAreInvariantUnderVariableRenaming)
+{
+    std::vector<Workload> inputs = make_corpus();
+    gen::StarOptions star;
+    star.producers = 3;
+    star.consumers = 3;
+    star.rounds = 40;
+    for (bool ring : {false, true}) {
+        star.violation_at_end = ring;
+        inputs.push_back({ring ? "star(ring)" : "star",
+                          gen::make_star(star)});
+    }
+
+    Rng rng(0x5eedULL);
+    size_t violations = 0;
+    for (const Workload& w : inputs) {
+        std::vector<VarId> perm(w.trace.num_vars());
+        for (VarId x = 0; x < perm.size(); ++x)
+            perm[x] = x;
+        rng.shuffle(perm);
+        const std::vector<Workload> renamed = {
+            {"permuted", rename_vars(w.trace,
+                                     [&](VarId x) { return perm[x]; })},
+            {"sparse", rename_vars(w.trace, [](VarId x) {
+                 return 4099 * x + 65536;
+             })},
+        };
+        expect_renaming_invariant<AeroDromeBasic>(w, renamed,
+                                                  "aerodrome-basic", false);
+        expect_renaming_invariant<AeroDromeReadOpt>(
+            w, renamed, "aerodrome-readopt", false);
+        expect_renaming_invariant<AeroDromeOpt>(w, renamed, "aerodrome",
+                                                true);
+        expect_renaming_invariant<AeroDromeTuned>(w, renamed,
+                                                  "aerodrome-tuned", false);
+        expect_renaming_invariant<Velodrome>(w, renamed, "velodrome",
+                                             false);
+        expect_renaming_invariant<VelodromePK>(w, renamed, "velodrome-pk",
+                                               false);
+        violations += run_default<AeroDromeOpt>(w.trace).violation;
+    }
+    // The corpus must exercise both verdicts, or the check is vacuous.
+    EXPECT_GT(violations, 0u);
+    EXPECT_LT(violations, inputs.size());
 }
 
 } // namespace

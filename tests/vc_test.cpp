@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "support/rng.hpp"
 #include "vc/clock_bank.hpp"
 #include "vc/flat_table.hpp"
@@ -229,14 +231,57 @@ TEST(ClockBank, RowsStartAtBottom)
     }
 }
 
-TEST(ClockBank, StrideIsCacheLinePadded)
+TEST(ClockBank, StrideIsPackedToTheDimension)
 {
-    // 16 ClockValues = one 64-byte line; stride must round up to it.
-    EXPECT_EQ(ClockBank(1, 1).stride(), 16u);
+    // Up to one 64-byte line (16 ClockValues) the stride is the next
+    // power of two >= max(dim, 4), so rows tile a line without
+    // straddling it; above that it is whole lines.
+    EXPECT_EQ(ClockBank(1, 1).stride(), 4u);
+    EXPECT_EQ(ClockBank(1, 4).stride(), 4u);
+    EXPECT_EQ(ClockBank(1, 5).stride(), 8u);
+    EXPECT_EQ(ClockBank(1, 8).stride(), 8u);
+    EXPECT_EQ(ClockBank(1, 9).stride(), 16u);
     EXPECT_EQ(ClockBank(1, 16).stride(), 16u);
     EXPECT_EQ(ClockBank(1, 17).stride(), 32u);
-    ClockBank b(2, 5);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % 64, 0u);
+    for (size_t dim : {1u, 5u, 9u, 17u}) {
+        ClockBank b(2, dim);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % 64, 0u) << dim;
+    }
+}
+
+TEST(ClockBank, GrowDimAcrossPackedStridesKeepsRowsAndPadding)
+{
+    // 3 -> 5 -> 9 -> 17 crosses every re-layout point of the packed
+    // rule (stride 4 -> 8 -> 16 -> 32).
+    ClockBank bank(6, 3);
+    size_t dim = 3;
+    auto expect_rows = [&](size_t want_stride) {
+        ASSERT_EQ(bank.stride(), want_stride);
+        ASSERT_EQ(bank.dim(), dim);
+        for (size_t i = 0; i < bank.rows(); ++i) {
+            for (size_t d = 0; d < dim; ++d) {
+                const ClockValue want =
+                    d < 3 ? static_cast<ClockValue>(10 * i + d + 1) : 0;
+                EXPECT_EQ(bank[i].get(d), want)
+                    << "row " << i << " comp " << d;
+            }
+            // Padding components dim..stride stay zero.
+            for (size_t d = dim; d < bank.stride(); ++d)
+                EXPECT_EQ(bank.data()[i * bank.stride() + d], 0u)
+                    << "row " << i << " pad " << d;
+        }
+    };
+    for (size_t i = 0; i < bank.rows(); ++i) {
+        for (size_t d = 0; d < 3; ++d)
+            bank[i].set(d, static_cast<ClockValue>(10 * i + d + 1));
+    }
+    expect_rows(4);
+    for (auto [d, stride] : {std::pair<size_t, size_t>{5, 8},
+                             {9, 16}, {17, 32}}) {
+        dim = d;
+        bank.ensure_dim(d);
+        expect_rows(stride);
+    }
 }
 
 TEST(ClockBank, SetGetTick)
@@ -265,12 +310,12 @@ TEST(ClockBank, GrowRowsPreservesContentAndZeroesNewRows)
 
 TEST(ClockBank, GrowDimWithinStrideIsZeroFilled)
 {
-    ClockBank bank(2, 3);
+    ClockBank bank(2, 9);
     bank[0].set(2, 5);
-    bank.ensure_dim(10); // still within the 16-component stride
+    bank.ensure_dim(16); // still within the 16-component stride
     EXPECT_EQ(bank.stride(), 16u);
     EXPECT_EQ(bank[0].get(2), 5u);
-    for (size_t d = 3; d < 10; ++d)
+    for (size_t d = 9; d < 16; ++d)
         EXPECT_EQ(bank[0].get(d), 0u);
 }
 
