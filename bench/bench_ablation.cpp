@@ -29,13 +29,14 @@
  */
 
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "support/str.hpp"
@@ -61,19 +62,17 @@ time_checker(const Trace& t, int repeat, bool& violation)
 void
 run_workload(const char* name, const Trace& t, int repeat)
 {
-    bool v1 = false, v2 = false, v3 = false, v4 = false;
+    bool v1 = false, v2 = false, v3 = false;
     double basic = time_checker<AeroDromeBasic>(t, repeat, v1);
     double readopt = time_checker<AeroDromeReadOpt>(t, repeat, v2);
     double opt = time_checker<AeroDromeOpt>(t, repeat, v3);
-    double tuned = time_checker<AeroDromeTuned>(t, repeat, v4);
-    if (v1 != v2 || v2 != v3 || v3 != v4)
+    if (v1 != v2 || v2 != v3)
         std::printf("!! verdict mismatch on %s\n", name);
     std::printf("%-22s %10s  basic %9.4fs  readopt %9.4fs (%4.1fx)  "
-                "opt %9.4fs (%6.1fx)  tuned %9.4fs (%6.1fx)\n",
+                "opt %9.4fs (%6.1fx)\n",
                 name, with_commas(t.size()).c_str(), basic, readopt,
                 readopt > 0 ? basic / readopt : 0, opt,
-                opt > 0 ? basic / opt : 0, tuned,
-                tuned > 0 ? basic / tuned : 0);
+                opt > 0 ? basic / opt : 0);
 }
 
 int
@@ -214,7 +213,9 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
                 "contn", "engine", "off s", "on s", "speedup", "hit rate",
                 "inflations");
 
-    std::string json = "{\n  \"workloads\": [\n";
+    std::string json = "{\n  \"hardware_concurrency\": " +
+                       std::to_string(std::thread::hardware_concurrency()) +
+                       ",\n  \"workloads\": [\n";
     bool any_mismatch = false;
 
     for (size_t w = 0; w < workloads.size(); ++w) {
@@ -226,7 +227,6 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
         EngineRow rows[] = {
             {"readopt", run_epoch_pair<AeroDromeReadOpt>(wl.trace, repeat)},
             {"opt", run_epoch_pair<AeroDromeOpt>(wl.trace, repeat)},
-            {"tuned", run_epoch_pair<AeroDromeTuned>(wl.trace, repeat)},
         };
 
         char buf[256];
@@ -236,7 +236,7 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
                       wl.name.c_str(), wl.contention, wl.trace.size());
         json += buf;
 
-        for (size_t e = 0; e < 3; ++e) {
+        for (size_t e = 0; e < std::size(rows); ++e) {
             const EpochRun& r = rows[e].run;
             any_mismatch |= r.verdict_mismatch;
             std::printf("%-18s %-8s %-18s %10.4f %10.4f %7.2fx %8.1f%% "
@@ -253,7 +253,7 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
                 "\"epoch_hit_rate\": %.4f, \"inflations\": %llu}%s\n",
                 rows[e].name, r.off_s, r.on_s, r.speedup(), r.hit_rate(),
                 static_cast<unsigned long long>(r.inflations),
-                e + 1 < 3 ? "," : "");
+                e + 1 < std::size(rows) ? "," : "");
             json += buf;
         }
         json += w + 1 < workloads.size() ? "    ]},\n" : "    ]}\n";

@@ -17,7 +17,7 @@
  *
  * A second mode, --updsets, is the update-set smoke gate: it measures
  * the basic/readopt end-event path (update sets on vs the
- * AERO_UPDATE_SETS=0 full sweep) on the var-heavy workloads and *fails*
+ * set_update_sets(false) full sweep) on the var-heavy workloads and *fails*
  * if readopt's throughput falls below a floor derived from the
  * pre-update-set single-engine rates, recorded when update sets were
  * introduced — the CI tripwire for the quadratic end sweep sneaking
@@ -72,7 +72,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/rolling_stream.hpp"
@@ -83,7 +82,6 @@
 #include "trace/mapped_reader.hpp"
 #include "trace/stream.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace {
 
@@ -105,18 +103,15 @@ run_series(const char* name, const std::vector<Trace>& traces,
            double budget)
 {
     std::printf("\n-- %s --\n", name);
-    std::printf("%12s  %12s  %10s  %12s  %10s  %12s  %10s  %8s\n",
-                "events", "velo(s)", "velo ns/ev", "pk(s)", "pk ns/ev",
-                "aero(s)", "aero ns/ev", "velo/aero");
+    std::printf("%12s  %12s  %10s  %12s  %10s  %8s\n", "events",
+                "velo(s)", "velo ns/ev", "aero(s)", "aero ns/ev",
+                "velo/aero");
     for (const Trace& t : traces) {
         RunBudget rb;
         rb.max_seconds = budget;
 
         Velodrome velo(t.num_threads(), t.num_vars(), t.num_locks());
         RunResult vr = run_checker(velo, t, rb);
-
-        VelodromePK pk(t.num_threads(), t.num_vars(), t.num_locks());
-        RunResult pr = run_checker(pk, t, rb);
 
         AeroDromeOpt aero(t.num_threads(), t.num_vars(), t.num_locks());
         RunResult ar = run_checker(aero, t, rb);
@@ -133,14 +128,11 @@ run_series(const char* name, const std::vector<Trace>& traces,
             else
                 std::snprintf(buf, n, "%.4f", r.seconds);
         };
-        char velo_cell[32], pk_cell[32];
+        char velo_cell[32];
         cell(vr, velo_cell, sizeof(velo_cell));
-        cell(pr, pk_cell, sizeof(pk_cell));
-        std::printf("%12s  %12s  %10.1f  %12s  %10.1f  %12.4f  %10.1f  "
-                    "%8.1f\n",
+        std::printf("%12s  %12s  %10.1f  %12.4f  %10.1f  %8.1f\n",
                     with_commas(t.size()).c_str(), velo_cell,
-                    per_event(vr), pk_cell, per_event(pr), ar.seconds,
-                    per_event(ar),
+                    per_event(vr), ar.seconds, per_event(ar),
                     ar.seconds > 0 ? vr.seconds / ar.seconds : 0);
     }
 }
@@ -156,15 +148,11 @@ run_baseline_nosets(const Trace& t)
     return run_checker(engine, t);
 }
 
-/** Force update sets ON regardless of the AERO_UPDATE_SETS env — the
- *  --updsets gate measures the mechanism, so the ablation env must not
- *  be able to trip its floor. */
 template <typename Engine>
 RunResult
 run_baseline_sets(const Trace& t)
 {
     Engine engine(t.num_threads(), t.num_vars(), t.num_locks());
-    engine.set_update_sets(true);
     return run_checker(engine, t);
 }
 
@@ -450,8 +438,7 @@ run_memory_bench(const Args& args)
     bool ok = true;
     ok &= run_memory_engine<AeroDromeBasic>(json, n, reps, false);
     ok &= run_memory_engine<AeroDromeReadOpt>(json, n, reps, false);
-    ok &= run_memory_engine<AeroDromeOpt>(json, n, reps, false);
-    ok &= run_memory_engine<AeroDromeTuned>(json, n, reps, true);
+    ok &= run_memory_engine<AeroDromeOpt>(json, n, reps, true);
     json += "  ]\n}\n";
 
     const std::string path =

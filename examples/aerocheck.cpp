@@ -17,11 +17,12 @@
  * sniff); a ".bin" file without the magic is rejected as corrupt rather
  * than mis-parsed as text.
  *
- *   --engine: aerodrome (default) | aerodrome-tuned | aerodrome-readopt |
- *             aerodrome-basic | velodrome | velodrome-pk
+ *   --engine: aerodrome (default) | aerodrome-readopt | aerodrome-basic |
+ *             velodrome
+ *   --budget: wall-clock limit in seconds, a finite number >= 0 (0: no
+ *             limit); anything else is a usage error
  *   --ingest-block: events decoded per EventSource::next_n block in
- *             the check loop (default: AERO_INGEST_BLOCK env, else 4096).
- *             Echoed by --stats
+ *             the check loop (default 4096). Echoed by --stats
  *   --resync: skip corrupt records and keep checking (the verdict
  *             degrades to "no violation found", exit 5, when records
  *             were skipped) instead of stopping at the first one
@@ -48,6 +49,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -56,7 +58,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "oracle/serializability_oracle.hpp"
 #include "support/assert.hpp"
@@ -67,7 +68,6 @@
 #include "trace/text_io.hpp"
 #include "trace/validator.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace {
 
@@ -77,7 +77,7 @@ struct Args {
     std::string path;
     std::string engine = "aerodrome";
     double budget = 0;
-    uint32_t ingest_block = 0; // 0: AERO_INGEST_BLOCK env, else 4096
+    uint32_t ingest_block = 0; // 0: kDefaultIngestBlock
     bool resync = false;
     bool validate_first = false;
     bool stats = false;
@@ -129,6 +129,19 @@ parse_bounded(const char* s, unsigned long lo, unsigned long hi,
     return true;
 }
 
+/** Parse a finite, non-negative number of seconds; false on garbage,
+ *  trailing characters, negatives, infinities and NaN. */
+bool
+parse_seconds(const char* s, double& out)
+{
+    char* end = nullptr;
+    double v = std::strtod(s, &end);
+    if (s[0] == '\0' || !end || *end != '\0' || !std::isfinite(v) || v < 0)
+        return false;
+    out = v;
+    return true;
+}
+
 int
 usage(const char* argv0)
 {
@@ -136,8 +149,8 @@ usage(const char* argv0)
                  "usage: %s <trace[.bin]> [--engine NAME] [--budget S] "
                  "[--ingest-block N] [--resync] [--validate] [--stats] "
                  "[--witness]\n"
-                 "engines: aerodrome aerodrome-tuned aerodrome-readopt "
-                 "aerodrome-basic velodrome velodrome-pk\n",
+                 "engines: aerodrome aerodrome-readopt aerodrome-basic "
+                 "velodrome\n",
                  argv0);
     return 2;
 }
@@ -149,16 +162,12 @@ make_engine(const std::string& name)
     // grows its state on demand.
     if (name == "aerodrome")
         return std::make_unique<AeroDromeOpt>(0, 0, 0);
-    if (name == "aerodrome-tuned")
-        return std::make_unique<AeroDromeTuned>(0, 0, 0);
     if (name == "aerodrome-readopt")
         return std::make_unique<AeroDromeReadOpt>(0, 0, 0);
     if (name == "aerodrome-basic")
         return std::make_unique<AeroDromeBasic>(0, 0, 0);
     if (name == "velodrome")
         return std::make_unique<Velodrome>(0, 0, 0);
-    if (name == "velodrome-pk")
-        return std::make_unique<VelodromePK>(0, 0, 0);
     return nullptr;
 }
 
@@ -222,7 +231,8 @@ main(int argc, char** argv)
         if (a == "--engine" && i + 1 < argc) {
             args.engine = argv[++i];
         } else if (a == "--budget" && i + 1 < argc) {
-            args.budget = std::stod(argv[++i]);
+            if (!parse_seconds(argv[++i], args.budget))
+                return usage(argv[0]);
         } else if (a == "--ingest-block" && i + 1 < argc) {
             unsigned long v = 0;
             if (!parse_bounded(argv[++i], 1, 1ul << 22, v))

@@ -258,7 +258,7 @@ private:
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
-    bool epochs_ = epochs_enabled_default();
+    bool epochs_ = true;
 
     /** Last releaser of l, as an owner word of tags_. */
     std::vector<uint64_t> last_rel_;

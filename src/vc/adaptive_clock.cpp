@@ -1,35 +1,6 @@
 #include "vc/adaptive_clock.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace aero {
-
-bool
-epochs_enabled_default()
-{
-    static const bool enabled = [] {
-        const char* v = std::getenv("AERO_EPOCHS");
-        if (v == nullptr)
-            return true;
-        return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                 std::strcmp(v, "OFF") == 0);
-    }();
-    return enabled;
-}
-
-bool
-update_sets_enabled_default()
-{
-    static const bool enabled = [] {
-        const char* v = std::getenv("AERO_UPDATE_SETS");
-        if (v == nullptr)
-            return true;
-        return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                 std::strcmp(v, "OFF") == 0);
-    }();
-    return enabled;
-}
 
 ClockRef
 AdaptiveClockTable::inflate(size_t i, bool copy_contents)

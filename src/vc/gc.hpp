@@ -150,7 +150,7 @@ private:
 
 /**
  * When and how an engine sweeps its adaptive table: the one schedule the
- * four AeroDrome engines share.
+ * three AeroDrome engines share.
  *
  * Sweeps piggyback on outermost transaction ends. One is due when the
  * table's live arena has doubled since the last sweep (>= 128 rows), or

@@ -28,12 +28,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/random_program.hpp"
@@ -43,7 +40,6 @@
 #include "vc/adaptive_clock.hpp"
 #include "vc/gc.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 namespace aero {
 namespace {
@@ -291,7 +287,6 @@ TEST(EngineGc, RecycledSlotDoesNotAliasStaleEpochs)
     expect_no_alias<AeroDromeBasic>();
     expect_no_alias<AeroDromeReadOpt>();
     expect_no_alias<AeroDromeOpt>();
-    expect_no_alias<AeroDromeTuned>();
 }
 
 TEST(EngineGc, RecyclingKeepsTheRowCountAtTheLivePopulation)
@@ -377,7 +372,6 @@ TEST(EngineGc, DeadThreadsFactsDieWithTheSlot)
     expect_facts_die_with_the_slot<AeroDromeBasic>();
     expect_facts_die_with_the_slot<AeroDromeReadOpt>();
     expect_facts_die_with_the_slot<AeroDromeOpt>();
-    expect_facts_die_with_the_slot<AeroDromeTuned>();
 }
 
 /** Joins cost the retiree's own state, not the table: m writes 100k
@@ -415,7 +409,6 @@ TEST(EngineGc, JoinCostIsTheSlotsOwnStateNotTheTable)
     expect_join_touches_only_own_state<AeroDromeBasic>();
     expect_join_touches_only_own_state<AeroDromeReadOpt>();
     expect_join_touches_only_own_state<AeroDromeOpt>();
-    expect_join_touches_only_own_state<AeroDromeTuned>();
 }
 
 // ---------------------------------------------------------------------
@@ -497,35 +490,21 @@ TEST_P(GcParityFuzz, ReclamationIsInvisible)
                 run_aero<AeroDromeReadOpt>(tr, false, epochs, upd),
                 run_aero<AeroDromeReadOpt>(tr, true, epochs, upd));
         }
-        // opt/tuned keep their own update-set vectors: no toggle.
+        // opt keeps its own update-set vectors: no toggle.
         expect_same_outcome("opt",
                             run_aero<AeroDromeOpt>(tr, false, epochs, true),
                             run_aero<AeroDromeOpt>(tr, true, epochs, true));
-        expect_same_outcome(
-            "tuned", run_aero<AeroDromeTuned>(tr, false, epochs, true),
-            run_aero<AeroDromeTuned>(tr, true, epochs, true));
     }
 
-    // The graph engines map set_gc onto their node GC; the reclamation
-    // rule (no incoming edges => never on a cycle) is verdict-preserving.
-    auto run_graph = [&](auto make, bool gc) {
-        auto e = make();
-        e->set_gc(gc);
-        return run_checker(*e, tr);
+    // Velodrome maps set_gc onto its node GC; the reclamation rule (no
+    // incoming edges => never on a cycle) is verdict-preserving.
+    auto run_velodrome = [&](bool gc) {
+        Velodrome e(tr.num_threads(), tr.num_vars(), tr.num_locks());
+        e.set_gc(gc);
+        return run_checker(e, tr);
     };
-    auto mk_velo = [&] {
-        return std::make_unique<Velodrome>(tr.num_threads(), tr.num_vars(),
-                                           tr.num_locks());
-    };
-    auto mk_pk = [&] {
-        return std::make_unique<VelodromePK>(tr.num_threads(),
-                                             tr.num_vars(),
-                                             tr.num_locks());
-    };
-    expect_same_outcome("velodrome", run_graph(mk_velo, false),
-                        run_graph(mk_velo, true));
-    expect_same_outcome("velodrome-pk", run_graph(mk_pk, false),
-                        run_graph(mk_pk, true));
+    expect_same_outcome("velodrome", run_velodrome(false),
+                        run_velodrome(true));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcParityFuzz,
@@ -580,7 +559,6 @@ TEST(EngineGc, PinnedFrontierSkipsTheWalkNotTheVerdict)
     expect_pinned_sweeps_skip<AeroDromeBasic>();
     expect_pinned_sweeps_skip<AeroDromeReadOpt>();
     expect_pinned_sweeps_skip<AeroDromeOpt>();
-    expect_pinned_sweeps_skip<AeroDromeTuned>();
 }
 
 // ---------------------------------------------------------------------
@@ -619,7 +597,6 @@ TEST(RollingStream, AllEnginesCleanUnderChurnWithGc)
     expect_clean_stream<AeroDromeBasic>();
     expect_clean_stream<AeroDromeReadOpt>();
     expect_clean_stream<AeroDromeOpt>();
-    expect_clean_stream<AeroDromeTuned>();
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Golden-verdict regression corpus.
  *
  * Locks the exact verdict (serializable / violation, violating index and
- * thread) of every engine — the four AeroDrome variants with the
- * epoch-adaptive storage on and off, plus the two Velodrome baselines —
+ * thread) of every engine — the three AeroDrome variants with the
+ * epoch-adaptive storage on and off, plus the Velodrome baseline —
  * over a deterministic corpus: the fuzz-program seeds the differential
  * suites use and the adversarial carrier-chain families. Any future
  * engine change that silently shifts a verdict (a check reordered, a
@@ -32,7 +32,6 @@
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
-#include "aerodrome/aerodrome_tuned.hpp"
 #include "analysis/runner.hpp"
 #include "gen/adversarial.hpp"
 #include "gen/patterns.hpp"
@@ -40,7 +39,6 @@
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
 #include "velodrome/velodrome.hpp"
-#include "velodrome/velodrome_pk.hpp"
 
 #ifndef AERO_SOURCE_DIR
 #define AERO_SOURCE_DIR "."
@@ -165,21 +163,12 @@ generate_golden(bool gc)
             run_engine<AeroDromeReadOpt>(golden, w, "aerodrome-readopt",
                                          epochs, gc);
             run_engine<AeroDromeOpt>(golden, w, "aerodrome", epochs, gc);
-            run_engine<AeroDromeTuned>(golden, w, "aerodrome-tuned",
-                                       epochs, gc);
         }
-        {
-            Velodrome velo(w.trace.num_threads(), w.trace.num_vars(),
-                           w.trace.num_locks());
-            velo.set_gc(gc);
-            append_line(golden, w.name, "velodrome", 0,
-                        run_checker(velo, w.trace));
-            VelodromePK pk(w.trace.num_threads(), w.trace.num_vars(),
-                           w.trace.num_locks());
-            pk.set_gc(gc);
-            append_line(golden, w.name, "velodrome-pk", 0,
-                        run_checker(pk, w.trace));
-        }
+        Velodrome velo(w.trace.num_threads(), w.trace.num_vars(),
+                       w.trace.num_locks());
+        velo.set_gc(gc);
+        append_line(golden, w.name, "velodrome", 0,
+                    run_checker(velo, w.trace));
     }
     return golden;
 }
@@ -334,12 +323,8 @@ TEST(GoldenVerdicts, VerdictsAreInvariantUnderVariableRenaming)
             w, renamed, "aerodrome-readopt", false);
         expect_renaming_invariant<AeroDromeOpt>(w, renamed, "aerodrome",
                                                 true);
-        expect_renaming_invariant<AeroDromeTuned>(w, renamed,
-                                                  "aerodrome-tuned", false);
         expect_renaming_invariant<Velodrome>(w, renamed, "velodrome",
                                              false);
-        expect_renaming_invariant<VelodromePK>(w, renamed, "velodrome-pk",
-                                               false);
         violations += run_default<AeroDromeOpt>(w.trace).violation;
     }
     // The corpus must exercise both verdicts, or the check is vacuous.
