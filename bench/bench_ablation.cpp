@@ -23,7 +23,9 @@
  * adaptive layer of vc/adaptive_clock.hpp) — across contention levels
  * from "none" (thread-local variables, everything stays an epoch) to
  * "high" (every access contends, everything inflates). Results, epoch
- * hit rates and inflation counts are written to BENCH_epochs.json.
+ * hit rates and inflation counts are written to BENCH_epochs.json. The
+ * sweep exits 1 on a verdict mismatch, or when opt's epochs-on time is
+ * more than 2x readopt's on the 64-thread naive row.
  *
  * Usage: bench_ablation [--repeat N] [--epochs] [--json PATH] [--quick]
  */
@@ -164,6 +166,11 @@ run_epoch_pair(const Trace& t, int repeat)
     return out;
 }
 
+/** The ratio gate of the epoch sweep: opt's epochs-on time over
+ *  readopt's on this workload. */
+constexpr const char* kGateWorkload = "naive 64thr";
+constexpr double kGateMaxRatio = 2.0;
+
 struct SweepWorkload {
     std::string name;
     const char* contention;
@@ -217,6 +224,7 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
                        std::to_string(std::thread::hardware_concurrency()) +
                        ",\n  \"workloads\": [\n";
     bool any_mismatch = false;
+    double gate_ratio = 0; // opt / readopt, epochs on, on kGateWorkload
 
     for (size_t w = 0; w < workloads.size(); ++w) {
         const SweepWorkload& wl = workloads[w];
@@ -228,6 +236,9 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
             {"readopt", run_epoch_pair<AeroDromeReadOpt>(wl.trace, repeat)},
             {"opt", run_epoch_pair<AeroDromeOpt>(wl.trace, repeat)},
         };
+
+        if (wl.name == kGateWorkload && rows[0].run.on_s > 0)
+            gate_ratio = rows[1].run.on_s / rows[0].run.on_s;
 
         char buf[256];
         std::snprintf(buf, sizeof(buf),
@@ -258,7 +269,12 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
         }
         json += w + 1 < workloads.size() ? "    ]},\n" : "    ]}\n";
     }
-    json += "  ]\n}\n";
+    char gate[160];
+    std::snprintf(gate, sizeof(gate),
+                  "  ],\n  \"gate\": {\"workload\": \"%s\", "
+                  "\"opt_vs_readopt_on\": %.3f, \"max\": %.1f}\n}\n",
+                  kGateWorkload, gate_ratio, kGateMaxRatio);
+    json += gate;
 
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (!f) {
@@ -268,7 +284,30 @@ run_epoch_sweep(const std::string& json_path, int repeat, bool quick)
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path.c_str());
+
+    // The default engine's per-access cost must not grow with threads
+    // that have no open transaction: on the many-threads naive row opt
+    // stays near readopt (a ratio, so the gate holds on any host).
+    std::printf("opt / readopt (epochs on, %s): %.2fx (gate %.1fx)\n",
+                kGateWorkload, gate_ratio, kGateMaxRatio);
+    if (gate_ratio > kGateMaxRatio) {
+        std::fprintf(stderr,
+                     "FAIL: opt takes %.2fx readopt's time on %s "
+                     "(> %.1fx)\n",
+                     gate_ratio, kGateWorkload, kGateMaxRatio);
+        return 1;
+    }
     return any_mismatch ? 1 : 0;
+}
+
+int
+usage(const char* argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--repeat N] [--epochs] [--json PATH] "
+                 "[--quick]\n",
+                 argv0);
+    return 2;
 }
 
 } // namespace
@@ -286,14 +325,18 @@ main(int argc, char** argv)
     std::string json_path = "BENCH_epochs.json";
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--repeat" && i + 1 < argc)
-            repeat = std::stoi(argv[++i]);
-        else if (a == "--epochs")
+        uint64_t v = 0;
+        if (a == "--repeat" && i + 1 < argc) {
+            if (!parse_bounded(argv[++i], 1, 1000, v))
+                return usage(argv[0]);
+            repeat = static_cast<int>(v);
+        } else if (a == "--epochs") {
             epochs = true;
-        else if (a == "--json" && i + 1 < argc)
+        } else if (a == "--json" && i + 1 < argc) {
             json_path = argv[++i];
-        else if (a == "--quick")
+        } else if (a == "--quick") {
             quick = true;
+        }
     }
     if (epochs)
         return run_epoch_sweep(json_path, repeat, quick);

@@ -752,6 +752,17 @@ run_faults_smoke(const Args& args)
     return ok ? 0 : 1;
 }
 
+int
+usage(const char* argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--budget SECONDS] [--points N] | --updsets "
+                 "[--quick] | --faults [--quick] | --memory [--quick] "
+                 "[--json PATH] | --ingest [--quick] [--json PATH]\n",
+                 argv0);
+    return 2;
+}
+
 } // namespace
 
 int
@@ -760,11 +771,15 @@ main(int argc, char** argv)
     Args args;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--budget" && i + 1 < argc)
-            args.budget = std::stod(argv[++i]);
-        else if (a == "--points" && i + 1 < argc)
-            args.points = std::stoi(argv[++i]);
-        else if (a == "--updsets")
+        uint64_t points = 0;
+        if (a == "--budget" && i + 1 < argc) {
+            if (!parse_seconds(argv[++i], args.budget))
+                return usage(argv[0]);
+        } else if (a == "--points" && i + 1 < argc) {
+            if (!parse_bounded(argv[++i], 1, 16, points))
+                return usage(argv[0]);
+            args.points = static_cast<int>(points);
+        } else if (a == "--updsets")
             args.updsets_mode = true;
         else if (a == "--faults")
             args.faults_mode = true;

@@ -155,9 +155,14 @@ main(int argc, char** argv)
     double budget = 5.0;
     std::string json_path = "BENCH_velodrome_gc.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--budget" && i + 1 < argc)
-            budget = std::stod(argv[++i]);
-        else if (std::string(argv[i]) == "--json" && i + 1 < argc)
+        if (std::string(argv[i]) == "--budget" && i + 1 < argc) {
+            if (!parse_seconds(argv[++i], budget)) {
+                std::fprintf(stderr,
+                             "usage: %s [--budget SECONDS] [--json PATH]\n",
+                             argv[0]);
+                return 2;
+            }
+        } else if (std::string(argv[i]) == "--json" && i + 1 < argc)
             json_path = argv[++i];
     }
     std::printf("Velodrome garbage-collection ablation "

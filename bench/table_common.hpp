@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,22 +40,29 @@ struct TableArgs {
     parse(int argc, char** argv)
     {
         TableArgs args;
+        auto usage = [&](int code) {
+            std::fprintf(code == 0 ? stdout : stderr,
+                         "usage: %s [--scale S] [--budget SECONDS] "
+                         "[--filter NAME]\n",
+                         argv[0]);
+            std::exit(code);
+        };
         for (int i = 1; i < argc; ++i) {
             std::string a = argv[i];
-            auto next = [&]() -> std::string {
-                return i + 1 < argc ? argv[++i] : "";
-            };
+            const char* next = i + 1 < argc ? argv[i + 1] : "";
             if (a == "--scale") {
-                args.scale = std::stod(next());
+                ++i;
+                if (!parse_seconds(next, args.scale) || args.scale <= 0)
+                    usage(2);
             } else if (a == "--budget") {
-                args.budget_seconds = std::stod(next());
+                ++i;
+                if (!parse_seconds(next, args.budget_seconds))
+                    usage(2);
             } else if (a == "--filter") {
-                args.filter = next();
+                ++i;
+                args.filter = next;
             } else if (a == "--help") {
-                std::printf("usage: %s [--scale S] [--budget SECONDS] "
-                            "[--filter NAME]\n",
-                            argv[0]);
-                std::exit(0);
+                usage(0);
             }
         }
         return args;

@@ -4,8 +4,8 @@
  *
  * The "production" front end: pick an engine, stream a trace file in
  * constant memory, get a violation report with evidence and engine
- * statistics. Complements trace_pipeline (which demonstrates the
- * generate-then-analyze workflow) by exposing every engine and knob.
+ * statistics, for every engine. trace_pipeline writes the workload
+ * models as trace files for it to read.
  *
  * Usage:
  *   aerocheck <trace[.bin]> [--engine NAME] [--budget SECONDS]
@@ -49,9 +49,7 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -113,33 +111,6 @@ print_witness(const Trace& trace, size_t violation_index)
                     info.first_event, info.last_event,
                     info.completed ? "" : " (still open)");
     }
-}
-
-/** Parse a decimal integer in [lo, hi]; false on garbage/out-of-range. */
-bool
-parse_bounded(const char* s, unsigned long lo, unsigned long hi,
-              unsigned long& out)
-{
-    char* end = nullptr;
-    unsigned long v = std::strtoul(s, &end, 10);
-    if (s[0] == '\0' || s[0] == '-' || !end || *end != '\0' || v < lo ||
-        v > hi)
-        return false;
-    out = v;
-    return true;
-}
-
-/** Parse a finite, non-negative number of seconds; false on garbage,
- *  trailing characters, negatives, infinities and NaN. */
-bool
-parse_seconds(const char* s, double& out)
-{
-    char* end = nullptr;
-    double v = std::strtod(s, &end);
-    if (s[0] == '\0' || !end || *end != '\0' || !std::isfinite(v) || v < 0)
-        return false;
-    out = v;
-    return true;
 }
 
 int
@@ -234,8 +205,8 @@ main(int argc, char** argv)
             if (!parse_seconds(argv[++i], args.budget))
                 return usage(argv[0]);
         } else if (a == "--ingest-block" && i + 1 < argc) {
-            unsigned long v = 0;
-            if (!parse_bounded(argv[++i], 1, 1ul << 22, v))
+            uint64_t v = 0;
+            if (!parse_bounded(argv[++i], 1, uint64_t{1} << 22, v))
                 return usage(argv[0]);
             args.ingest_block = static_cast<uint32_t>(v);
         } else if (a == "--resync") {

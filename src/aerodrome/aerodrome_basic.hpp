@@ -58,15 +58,15 @@ struct AeroDromeStats {
     uint64_t joins = 0;
     /** Number of vector-clock ordering comparisons performed. */
     uint64_t comparisons = 0;
-    /** Table entries visited by end-event sweeps (basic/readopt): the
-     *  update-set size when tracked, the whole table when not — the
+    /** Table entries visited by end-event sweeps: the update-window
+     *  size when tracked, the whole table when not — the
      *  complexity-guard suite asserts this scales with the former. */
     uint64_t end_swept_entries = 0;
     /** Visited entries whose propagation gate was false (enrollment is an
      *  over-approximation; a full sweep skips most of the table). */
     uint64_t end_gate_skipped = 0;
-    /** Variables a slot retirement visited: only those the retiree's own
-     *  update sets or reader list name, never the whole table — the gc
+    /** Variables a slot retirement visited (basic: the retiree's reader
+     *  list; the others visit none), never the whole table — the gc
      *  suite's join-cost guard asserts this. */
     uint64_t retire_visited = 0;
 };

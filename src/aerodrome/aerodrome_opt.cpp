@@ -16,8 +16,6 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
     tags_.ensure(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
         c_[t].set(t, 1);
-    upd_r_.resize(num_threads);
-    upd_w_.resize(num_threads);
     parent_thread_.assign(num_threads, kNoThread);
     parent_txn_seq_.assign(num_threads, 0);
     reserve(0, num_vars, num_locks);
@@ -59,8 +57,6 @@ AeroDromeOpt::ensure_thread(ThreadId t)
         cb_.ensure_rows(n);
         c_pure_.resize(n, 1);
         tags_.ensure(n);
-        upd_r_.resize(n);
-        upd_w_.resize(n);
         parent_thread_.resize(n, kNoThread);
         parent_txn_seq_.resize(n, 0);
         for (size_t u = old; u < n; ++u)
@@ -221,94 +217,116 @@ AeroDromeOpt::flush_stale_readers(VarState& v)
     v.n_readers = 0;
 }
 
-void
-AeroDromeOpt::enroll_update_sets(ThreadId t, uint32_t vi, bool is_write)
-{
-    // Enroll x with every thread whose active transaction is ordered
-    // before the current access: those transactions must push their final
-    // timestamps into R_x/W_x when they complete (Algorithm 3, lines 34-36
-    // and 50-52). The one-component test keeps this O(|Thr|).
-    auto& sets = is_write ? upd_w_ : upd_r_;
-    for (ThreadId u = 0; u < c_.rows(); ++u) {
-        if (txns_.active(u) && cb_[u].get(u) <= c_[t].get(u))
-            sets[u].insert(vi);
-    }
-}
-
 bool
 AeroDromeOpt::handle_end(ThreadId t, size_t index)
 {
-    if (!has_incoming_edge(t)) {
+    const bool propagate = has_incoming_edge(t);
+    if (propagate) {
+        ++opt_stats_.propagated_ends;
+        ConstClockRef ct = c_[t];
+        const ClockValue cbt_t = cb_[t].get(t);
+        const bool ct_pure = pure_of(t);
+        for (ThreadId u = 0; u < c_.rows(); ++u) {
+            if (u == t)
+                continue;
+            ++stats_.comparisons;
+            if (cbt_t <= c_[u].get(t)) {
+                if (check_and_get_clock(ct, t, ct_pure, u, index,
+                                        "active peer ordered into "
+                                        "completed transaction")) {
+                    return true;
+                }
+            }
+        }
+    } else {
         // Garbage-collected end: this transaction can never lie on a
         // cycle, so skip the propagation entirely and only tidy the lazy
         // bookkeeping (Algorithm 3, lines 75-86).
         ++opt_stats_.gc_skipped_ends;
         const uint64_t tag = tags_[t];
-        for (uint32_t vi : upd_r_[t].list)
-            drop_stale_reader(vars_[vi], t);
-        upd_r_[t].clear();
-        for (uint32_t vi : upd_w_[t].list) {
-            VarState& v = vars_[vi];
-            if (v.last_w == tag) {
-                v.stale_write = 0;
-                v.last_w = SlotTags::kNone;
-            }
-        }
-        upd_w_[t].clear();
         for (uint64_t& r : last_rel_) {
             if (r == tag)
                 r = SlotTags::kNone;
         }
-        return false;
     }
+    sweep_update_window(t, propagate);
+    return false;
+}
 
-    ++opt_stats_.propagated_ends;
+void
+AeroDromeOpt::sweep_update_window(ThreadId t, bool propagate)
+{
     const uint64_t tag = tags_[t];
     ConstClockRef ct = c_[t];
     const ClockValue cbt_t = cb_[t].get(t);
     const bool ct_pure = pure_of(t);
-
-    for (ThreadId u = 0; u < c_.rows(); ++u) {
-        if (u == t)
-            continue;
+    auto gate_fires = [&](size_t i) {
         ++stats_.comparisons;
-        if (cbt_t <= c_[u].get(t)) {
-            if (check_and_get_clock(ct, t, ct_pure, u, index,
-                                    "active peer ordered into completed "
-                                    "transaction")) {
-                return true;
+        if (cbt_t <= tbl_.get(i, t))
+            return true;
+        ++stats_.end_gate_skipped;
+        return false;
+    };
+    // The window holds every entry a mutation since t's begin could have
+    // made gate-fireable, plus the W_x / R_x entries of t's own lazy
+    // accesses, which mutate nothing until flushed. Sealed first, so the
+    // sweep's joins enroll only into other threads' windows.
+    auto sweep = [&](uint32_t i) {
+        ++stats_.end_swept_entries;
+        const auto lk =
+            std::lower_bound(lock_slot_.begin(), lock_slot_.end(), i);
+        if (lk != lock_slot_.end() && *lk == i) { // L_l
+            if (propagate && gate_fires(i)) {
+                ++stats_.joins;
+                tbl_.join(i, ct, t, ct_pure);
             }
+            return;
         }
-    }
-    for (size_t l = 0; l < lock_slot_.size(); ++l) {
-        ++stats_.comparisons;
-        if (cbt_t <= tbl_.get(lock_slot_[l], t)) {
-            ++stats_.joins;
-            tbl_.join(lock_slot_[l], ct, t, ct_pure);
+        const uint32_t rel =
+            i - static_cast<uint32_t>(lk - lock_slot_.begin());
+        VarState& v = vars_[rel / 3];
+        switch (rel % 3) {
+          case 0: { // W_x
+            const bool own = v.stale_write && v.last_w == tag;
+            // Another thread's stale write supersedes: future accesses
+            // check its live clock, which absorbed C_t in the peer loop.
+            if (v.stale_write && !own)
+                break;
+            if (own) { // our pending write lands now, or never
+                v.stale_write = 0;
+                if (!propagate)
+                    v.last_w = SlotTags::kNone;
+            }
+            if (propagate && (own || gate_fires(i))) {
+                ++stats_.joins;
+                tbl_.join(i, ct, t, ct_pure);
+            }
+            break;
+          }
+          case 1: { // R_x, with its hR_x partner at i + 1
+            const bool own = drop_stale_reader(v, t);
+            if (propagate && (own || gate_fires(i))) {
+                stats_.joins += 2;
+                tbl_.join(i, ct, t, ct_pure);
+                tbl_.join_except(i + 1, ct, t, ct_pure);
+            }
+            break;
+          }
+          default: // hR_x: updated with its R_x partner
+            ++stats_.end_gate_skipped;
+            break;
         }
+    };
+    tbl_.seal_update_window(t);
+    if (tbl_.update_window_tracked(t)) {
+        for (uint32_t i : tbl_.update_entries(t))
+            sweep(i);
+    } else {
+        const uint32_t n = static_cast<uint32_t>(tbl_.size());
+        for (uint32_t i = 0; i < n; ++i)
+            sweep(i);
     }
-    for (uint32_t vi : upd_w_[t].list) {
-        VarState& v = vars_[vi];
-        // If another thread's *stale* write supersedes ours, skip: future
-        // readers will pick the ordering up from that thread's live clock
-        // (which already absorbed C_t via the thread loop above).
-        if (!v.stale_write || v.last_w == tag) {
-            ++stats_.joins;
-            tbl_.join(v.base, ct, t, ct_pure);
-        }
-        if (v.last_w == tag)
-            v.stale_write = 0;
-    }
-    upd_w_[t].clear();
-    for (uint32_t vi : upd_r_[t].list) {
-        VarState& v = vars_[vi];
-        stats_.joins += 2;
-        tbl_.join(v.base + 1, ct, t, ct_pure);
-        tbl_.join_except(v.base + 2, ct, t, ct_pure);
-        drop_stale_reader(v, t);
-    }
-    upd_r_[t].clear();
-    return false;
+    tbl_.close_update_window(t);
 }
 
 bool
@@ -331,6 +349,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
         if (txns_.on_begin(t)) {
             c_[t].tick(t); // purity preserved
             cb_[t].assign(c_[t]);
+            tbl_.open_update_window(t, cb_[t].get(t));
         }
         return false;
 
@@ -378,8 +397,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
       }
 
       case Op::kRead: {
-        const uint32_t vi = var_index(target);
-        VarState& v = vars_[vi];
+        VarState& v = vars_[var_index(target)];
         const size_t base = v.base;
         const uint64_t tag = tags_[t];
         if (v.last_w != tag) {
@@ -400,6 +418,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
             // Lazy: defer the R_x/hR_x update to the next write of x or to
             // our transaction end.
             add_stale_reader(v, t);
+            tbl_.enroll_update_entry(t, v.base + 1);
             ++opt_stats_.lazy_reads;
         } else {
             // Unary read: its transaction completes now; flush eagerly so
@@ -410,13 +429,11 @@ AeroDromeOpt::process(const Event& e, size_t index)
             tbl_.join(base + 1, c_[t], t, pure);
             tbl_.join_except(base + 2, c_[t], t, pure);
         }
-        enroll_update_sets(t, vi, /*is_write=*/false);
         return false;
       }
 
       case Op::kWrite: {
-        const uint32_t vi = var_index(target);
-        VarState& v = vars_[vi];
+        VarState& v = vars_[var_index(target)];
         const size_t base = v.base;
         const uint64_t tag = tags_[t];
         if (v.last_w != tag) {
@@ -440,13 +457,13 @@ AeroDromeOpt::process(const Event& e, size_t index)
         }
         if (txns_.active(t)) {
             v.stale_write = 1;
+            tbl_.enroll_update_entry(t, v.base);
             ++opt_stats_.lazy_writes;
         } else {
             v.stale_write = 0;
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
         v.last_w = tag;
-        enroll_update_sets(t, vi, /*is_write=*/true);
         return false;
       }
     }
@@ -458,34 +475,12 @@ AeroDromeOpt::retire_slot(uint32_t s)
 {
     if (txns_.active(s))
         return; // ill-formed join mid-transaction: leak the row, stay safe
-    // Flush the lazy proxies BEFORE the clock reset: they stand in for
-    // c_[s], which is about to become the reissue continuation. s was
-    // active at every stale access it made, so that access enrolled the
-    // variable in s's own update sets; walking them finds every proxy.
-    // (A well-formed trace emptied both sets at s's last end.)
-    const uint64_t tag = tags_[s];
-    stats_.retire_visited += upd_w_[s].list.size() + upd_r_[s].list.size();
-    for (uint32_t vi : upd_w_[s].list) {
-        VarState& v = vars_[vi];
-        if (v.last_w == tag && v.stale_write) {
-            tbl_.assign(v.base, c_[s], s, pure_of(s));
-            v.stale_write = 0;
-        }
-    }
-    for (uint32_t vi : upd_r_[s].list) {
-        VarState& v = vars_[vi];
-        if (drop_stale_reader(v, s)) {
-            stats_.joins += 2;
-            const bool pure = pure_of(s);
-            tbl_.join(v.base + 1, c_[s], s, pure);
-            tbl_.join_except(v.base + 2, c_[s], s, pure);
-        }
-    }
-    // The dead thread's last-writer and last-releaser facts expire with
-    // its incarnation.
+    // No lazy proxy stands in for c_[s] any more: s's stale accesses were
+    // all made inside transactions, and each end settled its own (both
+    // sweep modes), so the clock reset below cannot orphan one. The dead
+    // thread's last-writer and last-releaser facts expire with its
+    // incarnation.
     tags_.retire(s);
-    upd_r_[s].clear();
-    upd_w_[s].clear();
     parent_thread_[s] = kNoThread;
     parent_txn_seq_[s] = 0;
     const ClockValue v = c_[s].get(s);
@@ -493,6 +488,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
     c_[s].set(s, v + 1);
     cb_[s].clear();
     c_pure_[s] = 1;
+    tbl_.close_update_window(s);
     slots_.retire(s);
 }
 
@@ -533,11 +529,6 @@ AeroDromeOpt::memory_bytes() const
     n += parent_thread_.capacity() * sizeof(ThreadId);
     n += (last_rel_.capacity() + parent_txn_seq_.capacity()) *
          sizeof(uint64_t);
-    for (const auto* sets : {&upd_r_, &upd_w_}) {
-        n += sets->capacity() * sizeof(UpdateSet);
-        for (const auto& s : *sets)
-            n += s.list.capacity() * sizeof(uint32_t) + s.member.capacity();
-    }
     n += slots_.memory_bytes() + tags_.memory_bytes() +
          sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;

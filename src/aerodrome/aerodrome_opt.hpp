@@ -19,9 +19,13 @@
  *    live-clock proxy would be unsound for them.
  *
  * 2. Per-thread update sets. Algorithm 2 scans every variable at each end
- *    event. Here each read/write enrolls the variable in UpdateSet^r/w_u of
- *    exactly those threads u whose active transaction is ordered before the
- *    access, so an end event touches only the variables it must.
+ *    event. Here an end event sweeps only the entries enrolled in the
+ *    ending thread's update window, the same table mechanism basic and
+ *    readopt use (vc/adaptive_clock.hpp): a table mutation enrolls its
+ *    entry into the window of every open transaction its source clock is
+ *    ordered after, and a lazy access, which defers that mutation,
+ *    enrolls its pending W_x or R_x entry into the accessing thread's own
+ *    window, so an access costs O(1) whatever the thread count.
  *
  * 3. Garbage collection ("hasIncomingEdge"). A completed transaction that
  *    received no orderings from other threads since its begin (its clock is
@@ -41,11 +45,10 @@
  *
  * Per-variable state is stored in first-touch order: a variable's first
  * access gives it the next dense index and one 32-byte VarState record
- * (its W/R/hR entries, last writer, stale-write flag and stale readers),
- * and the update sets hold dense indices. Variables used together sit
- * together however scattered their ids are, and an end event walks its
- * update set through records and table entries laid out in the order the
- * variables were first touched.
+ * (its W/R/hR entries, last writer, stale-write flag and stale readers).
+ * Variables used together sit together however scattered their ids are,
+ * and an end event walks its window through records and table entries
+ * laid out in the order the variables were first touched.
  */
 
 #include <cstdint>
@@ -100,6 +103,10 @@ public:
         epochs_ = on;
         tbl_.set_epochs_enabled(on);
     }
+
+    /** Toggle end-event update windows; call before the first event.
+     *  Off is the tests' full-table sweep reference path. */
+    void set_update_sets(bool on) { tbl_.set_update_sets_enabled(on); }
 
     /** Reclamation (clock-entry GC + thread-slot recycling) is always
      *  on; set_gc(false) before the first event is the tests' reference
@@ -228,15 +235,15 @@ private:
     /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
     void flush_stale_readers(VarState& v);
 
-    /** Enroll variable `vi` (a dense index) in the read/write update set
-     *  of every thread with an active transaction ordered before C_t. */
-    void enroll_update_sets(ThreadId t, uint32_t vi, bool is_write);
-
     void ensure_thread(ThreadId t);
     void ensure_lock(LockId l);
     void grow_dim(size_t n);
 
     bool handle_end(ThreadId t, size_t index);
+
+    /** Sweep t's update window at its end: settle t's own stale accesses
+     *  and, iff `propagate`, join C_t into every entry whose gate fires. */
+    void sweep_update_window(ThreadId t, bool propagate);
 
     TxnTracker txns_;
 
@@ -245,9 +252,11 @@ private:
 
     /** L_l, W_x, R_x, hR_x — one adaptive table; var x occupies entries
      *  vars_[var_idx_[x]].base + {0: W, 1: R, 2: hR}, allocated at x's
-     *  first touch. */
+     *  first touch. Entries come only from ensure_lock (one) and
+     *  touch_var (a triple), in increasing order, so the lock entries
+     *  below an entry fix its variable and role. */
     AdaptiveClockTable tbl_;
-    std::vector<uint32_t> lock_slot_; // LockId -> entry
+    std::vector<uint32_t> lock_slot_; // LockId -> entry, increasing
 
     /** VarId -> dense index into vars_ (kUntouched before first touch). */
     std::vector<uint32_t> var_idx_;
@@ -262,32 +271,6 @@ private:
 
     /** Last releaser of l, as an owner word of tags_. */
     std::vector<uint64_t> last_rel_;
-
-    /** UpdateSet^r_t / UpdateSet^w_t as a list of dense variable indices
-     *  plus membership bytes indexed the same way. */
-    struct UpdateSet {
-        std::vector<uint32_t> list;
-        std::vector<uint8_t> member;
-        void
-        insert(uint32_t vi)
-        {
-            if (vi >= member.size())
-                member.resize(vi + 1, 0);
-            if (!member[vi]) {
-                member[vi] = 1;
-                list.push_back(vi);
-            }
-        }
-        void
-        clear()
-        {
-            for (uint32_t vi : list)
-                member[vi] = 0;
-            list.clear();
-        }
-    };
-    std::vector<UpdateSet> upd_r_;
-    std::vector<UpdateSet> upd_w_;
 
     /** Fork bookkeeping for hasIncomingEdge's "parentTr is alive". */
     std::vector<ThreadId> parent_thread_;

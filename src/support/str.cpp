@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace aero {
 
@@ -52,6 +53,27 @@ parse_u64(std::string_view s, uint64_t& out)
             return false;
         v = v * 10 + digit;
     }
+    out = v;
+    return true;
+}
+
+bool
+parse_bounded(std::string_view s, uint64_t lo, uint64_t hi, uint64_t& out)
+{
+    uint64_t v = 0;
+    if (!parse_u64(s, v) || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parse_seconds(const char* s, double& out)
+{
+    char* end = nullptr;
+    double v = std::strtod(s, &end);
+    if (s[0] == '\0' || !end || *end != '\0' || !std::isfinite(v) || v < 0)
+        return false;
     out = v;
     return true;
 }

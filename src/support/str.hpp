@@ -27,6 +27,15 @@ bool starts_with(std::string_view s, std::string_view prefix);
  */
 bool parse_u64(std::string_view s, uint64_t& out);
 
+/** Parse a decimal integer in [lo, hi] (digits only); false on garbage,
+ *  signs, overflow or out-of-range. The command-line flag parser. */
+bool parse_bounded(std::string_view s, uint64_t lo, uint64_t hi,
+                   uint64_t& out);
+
+/** Parse a finite, non-negative number (seconds, scales); false on
+ *  garbage, trailing characters, negatives, infinities and NaN. */
+bool parse_seconds(const char* s, double& out);
+
 /** Format a count with thousands separators, e.g. 1234567 -> "1,234,567". */
 std::string with_commas(uint64_t n);
 

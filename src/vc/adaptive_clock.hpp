@@ -210,9 +210,20 @@ public:
         seal_update_window(t);
         UpdWindow& w = upd_[t];
         for (uint32_t i : w.list)
-            w.member[i] = 0;
+            w.member[i >> 6] = 0;
         w.list.clear();
         w.tracked = 0;
+    }
+
+    /** Enroll entry i into t's window directly, if it is open. For an
+     *  engine whose lazy accesses defer the mutation that would enroll
+     *  the entry (AeroDromeOpt's stale reads and writes), so that t's
+     *  end sweep still visits the entries those accesses left pending. */
+    void
+    enroll_update_entry(ThreadId t, uint32_t i)
+    {
+        if (t < upd_gate_.size() && upd_gate_[t] != 0)
+            enroll_into(t, i);
     }
 
     /** True iff t's end sweep may visit only update_entries(t); false
@@ -490,7 +501,7 @@ public:
                    free_entries_.capacity() * sizeof(uint32_t);
         for (const UpdWindow& w : upd_) {
             n += sizeof(UpdWindow) + w.list.capacity() * sizeof(uint32_t) +
-                 w.member.capacity();
+                 w.member.capacity() * sizeof(uint64_t);
         }
         return n;
     }
@@ -498,11 +509,11 @@ public:
 private:
     static constexpr uint64_t kInflatedTag = uint64_t{1} << 63;
 
-    /** One thread's update window: enrolled entries as a list plus
-     *  membership bytes (lazily sized by entry id) for O(1) dedup. */
+    /** One thread's update window: enrolled entries as a list plus one
+     *  membership bit per entry id (lazily sized) for O(1) dedup. */
     struct UpdWindow {
         std::vector<uint32_t> list;
-        std::vector<uint8_t> member;
+        std::vector<uint64_t> member;
         uint8_t tracked = 0;
     };
 
@@ -536,10 +547,12 @@ private:
     enroll_into(ThreadId u, uint32_t i)
     {
         UpdWindow& w = upd_[u];
-        if (i >= w.member.size())
-            w.member.resize(i + 1, 0);
-        if (!w.member[i]) {
-            w.member[i] = 1;
+        const size_t word = i >> 6;
+        const uint64_t bit = uint64_t{1} << (i & 63);
+        if (word >= w.member.size())
+            w.member.resize(word + 1, 0);
+        if (!(w.member[word] & bit)) {
+            w.member[word] |= bit;
             w.list.push_back(i);
             ++stats_.upd_enrolled;
         }

@@ -166,11 +166,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedSweep,
  */
 class EngineLockstep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
+void
+expect_lockstep(const Trace& trace)
 {
-    DiffParams p{GetParam(), 4, 5, 2, 0.8, sim::Policy::kRandom};
-    Trace trace = generate(p);
-
     AeroDromeBasic basic(trace.num_threads(), trace.num_vars(),
                          trace.num_locks());
     AeroDromeReadOpt readopt(trace.num_threads(), trace.num_vars(),
@@ -198,6 +196,28 @@ TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
         EXPECT_EQ(basic.violation()->event_index,
                   readopt.violation()->event_index);
     }
+}
+
+TEST_P(EngineLockstep, ThreeEnginesAgreeEventForEvent)
+{
+    DiffParams p{GetParam(), 4, 5, 2, 0.8, sim::Policy::kRandom};
+    expect_lockstep(generate(p));
+}
+
+/** Many open windows: 64 whole-thread transactions stay open for the
+ *  whole trace, so every table mutation tests 64 gates and every lazy
+ *  access enrolls into its own thread's window. Shared accesses start
+ *  late, so some seeds close a cycle and others stay serializable. */
+TEST_P(EngineLockstep, SixtyFourThreadNaiveSpec)
+{
+    gen::NaiveSpecOptions opts;
+    opts.seed = GetParam();
+    opts.threads = 64;
+    opts.events_per_thread = 48;
+    opts.shared_vars = 16;
+    opts.private_vars_per_thread = 8;
+    opts.conflict_position = 0.6; // 110 of the 199 seeds violate
+    expect_lockstep(gen::make_naive_spec(opts));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineLockstep,
