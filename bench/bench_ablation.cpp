@@ -336,6 +336,8 @@ main(int argc, char** argv)
             json_path = argv[++i];
         } else if (a == "--quick") {
             quick = true;
+        } else {
+            return usage(argv[0]);
         }
     }
     if (epochs)

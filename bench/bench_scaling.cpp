@@ -23,19 +23,13 @@
  * introduced — the CI tripwire for the quadratic end sweep sneaking
  * back in.
  *
- * A third mode, --faults, is the fault-injection overhead gate: it times
- * the streaming path with the FaultInjector disarmed vs armed-but-idle
- * (a trigger that never fires) and fails if the armed-idle hooks cost
- * more than the floor — the tripwire for a fault hook growing beyond its
- * one-relaxed-load budget.
- *
  * Usage: bench_scaling [--budget SECONDS] [--points N]
  *        bench_scaling --updsets [--quick]
- *        bench_scaling --faults [--quick]
  *        bench_scaling --memory [--quick] [--json PATH]
  *        bench_scaling --ingest [--quick] [--json PATH]
+ * Any other flag is a usage error (exit 2).
  *
- * A fourth mode, --memory, is the reclamation gate: it drives every
+ * A third mode, --memory, is the reclamation gate: it drives every
  * AeroDrome engine over the rolling stream (gen/rolling_stream.hpp —
  * thread churn + hot-window drift, the unbounded-stream model) once
  * with gc off (set_gc(false), the reference path) and once with its
@@ -45,7 +39,7 @@
  * is not flat (end > 1.15x midpoint) or if reclamation costs more than
  * 5% throughput against the gc-off run of the same engine.
  *
- * A fifth mode, --ingest, is the block-ingestion gate for the PR that
+ * A fourth mode, --ingest, is the block-ingestion gate for the PR that
  * rebuilt trace reading around next_n blocks: it writes a ~10M-event
  * binary trace (~1M under --quick) to a temp file and records, best of
  * three each, decode-only rows (istream per-event next(), istream
@@ -62,7 +56,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,7 +68,6 @@
 #include "analysis/runner.hpp"
 #include "gen/patterns.hpp"
 #include "gen/rolling_stream.hpp"
-#include "support/fault.hpp"
 #include "support/stopwatch.hpp"
 #include "support/str.hpp"
 #include "trace/binary_io.hpp"
@@ -91,7 +83,6 @@ struct Args {
     double budget = 10.0;
     int points = 5;
     bool updsets_mode = false;
-    bool faults_mode = false;
     bool memory_mode = false;
     bool ingest_mode = false;
     bool quick = false;
@@ -662,102 +653,12 @@ run_ingest_bench(const Args& args)
     return ok ? 0 : 1;
 }
 
-// --- Fault-overhead smoke (--faults) ----------------------------------------
-
-/**
- * Measure what the fault-injection hooks cost on the instrumented hot
- * path — binary streaming through the per-byte kTraceByte hooks,
- * compile-gated behind -DAERO_FAULTS — in two states: injector disarmed
- * and armed-idle (a plan whose trigger of UINT64_MAX never fires, so
- * every hook runs its full check-and-skip path). Best-of-3 each; the
- * armed-idle : disarmed ratio is the per-hook overhead. The floor is 10%
- * (the disarmed design target is <=1% — one relaxed load — so 10%
- * absorbs CI timer noise), or 25% when the per-byte hooks are compiled
- * in, since armed trigger accounting then runs per input byte.
- */
-int
-run_faults_smoke(const Args& args)
-{
-    const uint32_t scale = args.quick ? 2 : 8;
-    const Trace trace = gen::make_pipeline(8, 2500 * scale);
-    std::ostringstream blob;
-    write_binary(blob, trace);
-    const std::string bytes = blob.str();
-
-    auto stream_once = [&bytes]() {
-        std::istringstream in(bytes, std::ios::binary);
-        BinaryEventSource src(in);
-        AeroDromeOpt engine(0, 0, 0);
-        return run_checker_stream(engine, src).seconds;
-    };
-    auto best_of3 = [&stream_once]() {
-        double best = stream_once();
-        for (int i = 0; i < 2; ++i) {
-            const double s = stream_once();
-            if (s < best)
-                best = s;
-        }
-        return best;
-    };
-
-    FaultInjector& inj = FaultInjector::instance();
-    inj.disarm();
-
-    std::printf("Fault-overhead smoke (per-byte hooks compiled: %s)\n",
-                fault_points_compiled() ? "yes" : "no");
-    std::printf("%10s  %14s  %14s  %8s\n", "path", "disarmed ev/s",
-                "armed-idle ev/s", "delta");
-
-    // Trigger UINT64_MAX: checked on every hit, never fires.
-    FaultPlan idle;
-    idle.site = FaultSite::kTraceByte;
-    idle.kind = FaultKind::kBitFlip;
-    idle.trigger = UINT64_MAX;
-    // Without the compiled per-byte hooks the armed plan touches nothing
-    // on this path and the delta is pure timer noise; with them, armed
-    // trigger accounting is a fetch_add per input byte (~3 bytes/event),
-    // worth ~10% while a drill is armed.
-    const double floor = fault_points_compiled() ? 0.25 : 0.10;
-
-    bool ok = true;
-    const double disarmed = best_of3();
-    inj.arm(idle);
-    const double armed = best_of3();
-    inj.disarm();
-    if (inj.fires() != 0) {
-        std::fprintf(stderr,
-                     "FAIL: armed-idle plan fired %llu time(s) — trigger "
-                     "accounting is broken\n",
-                     static_cast<unsigned long long>(inj.fires()));
-        ok = false;
-    }
-    auto evs = [&trace](double s) {
-        return s > 0 ? static_cast<double>(trace.size()) / s : 0.0;
-    };
-    const double evs_off = evs(disarmed);
-    const double evs_idle = evs(armed);
-    const double delta = evs_off > 0 ? (evs_off - evs_idle) / evs_off : 0.0;
-    std::printf("%10s  %14.0f  %14.0f  %+7.1f%%\n", "stream", evs_off,
-                evs_idle, -delta * 100.0);
-    if (delta > floor) {
-        std::fprintf(stderr,
-                     "FAIL: armed-idle throughput on the stream path "
-                     "dropped %.1f%% (>%.0f%% floor) — a fault hook got "
-                     "expensive\n",
-                     delta * 100.0, floor * 100.0);
-        ok = false;
-    }
-    if (ok)
-        std::printf("fault-overhead smoke passed\n");
-    return ok ? 0 : 1;
-}
-
 int
 usage(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--budget SECONDS] [--points N] | --updsets "
-                 "[--quick] | --faults [--quick] | --memory [--quick] "
+                 "[--quick] | --memory [--quick] "
                  "[--json PATH] | --ingest [--quick] [--json PATH]\n",
                  argv0);
     return 2;
@@ -781,8 +682,6 @@ main(int argc, char** argv)
             args.points = static_cast<int>(points);
         } else if (a == "--updsets")
             args.updsets_mode = true;
-        else if (a == "--faults")
-            args.faults_mode = true;
         else if (a == "--memory")
             args.memory_mode = true;
         else if (a == "--ingest")
@@ -791,13 +690,13 @@ main(int argc, char** argv)
             args.quick = true;
         else if (a == "--json" && i + 1 < argc)
             args.json_path = argv[++i];
+        else
+            return usage(argv[0]);
     }
     if (args.ingest_mode)
         return run_ingest_bench(args);
     if (args.memory_mode)
         return run_memory_bench(args);
-    if (args.faults_mode)
-        return run_faults_smoke(args);
     if (args.updsets_mode)
         return run_updsets_smoke(args);
 

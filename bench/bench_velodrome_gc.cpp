@@ -154,16 +154,21 @@ main(int argc, char** argv)
 {
     double budget = 5.0;
     std::string json_path = "BENCH_velodrome_gc.json";
+    auto usage = [&argv] {
+        std::fprintf(stderr, "usage: %s [--budget SECONDS] [--json PATH]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--budget" && i + 1 < argc) {
-            if (!parse_seconds(argv[++i], budget)) {
-                std::fprintf(stderr,
-                             "usage: %s [--budget SECONDS] [--json PATH]\n",
-                             argv[0]);
-                return 2;
-            }
-        } else if (std::string(argv[i]) == "--json" && i + 1 < argc)
+        const std::string a = argv[i];
+        if (a == "--budget" && i + 1 < argc) {
+            if (!parse_seconds(argv[++i], budget))
+                return usage();
+        } else if (a == "--json" && i + 1 < argc) {
             json_path = argv[++i];
+        } else {
+            return usage();
+        }
     }
     std::printf("Velodrome garbage-collection ablation "
                 "(budget %.3gs per run)\n\n", budget);

@@ -63,6 +63,8 @@ struct TableArgs {
                 args.filter = next;
             } else if (a == "--help") {
                 usage(0);
+            } else {
+                usage(2);
             }
         }
         return args;

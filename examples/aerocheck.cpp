@@ -17,6 +17,12 @@
  * sniff); a ".bin" file without the magic is rejected as corrupt rather
  * than mis-parsed as text.
  *
+ * The trace may be a pipe or a FIFO as well as a file: `producer |
+ * aerocheck /dev/stdin` checks the stream online, in one pass. A regular
+ * file is mmap'd; anything else is read through a buffered window.
+ * --validate and --witness read the trace a second time, so they need a
+ * regular file (usage error otherwise).
+ *
  *   --engine: aerodrome (default) | aerodrome-readopt | aerodrome-basic |
  *             velodrome
  *   --budget: wall-clock limit in seconds, a finite number >= 0 (0: no
@@ -41,11 +47,6 @@
  * 5 = completed degraded (resync skipped records: a reported violation
  * would still be real, but "no violation" is not a proof),
  * 6 = internal error (contained panic / resource cap).
- *
- * Fault injection (robustness drills):
- * AERO_FAULT_PLAN=site:kind:trigger[:seed] in the environment arms the
- * process-wide FaultInjector before the run (src/support/fault.hpp for
- * the grammar).
  */
 
 #include <algorithm>
@@ -53,13 +54,14 @@
 #include <memory>
 #include <string>
 
+#include <sys/stat.h>
+
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "oracle/serializability_oracle.hpp"
 #include "support/assert.hpp"
-#include "support/fault.hpp"
 #include "support/str.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/stream.hpp"
@@ -234,11 +236,21 @@ main(int argc, char** argv)
         return usage(argv[0]);
     }
 
+    // --validate and --witness load the trace again after (or before) the
+    // streamed run; a pipe or FIFO cannot be read twice.
+    struct stat st;
+    if ((args.validate_first || args.witness) &&
+        ::stat(args.path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+        std::fprintf(stderr,
+                     "--validate and --witness read the trace twice; %s "
+                     "is not a regular file\n",
+                     args.path.c_str());
+        return 2;
+    }
+
     // Contain engine panics as a structured internal-error outcome (exit
-    // 6 with context) instead of an abort, and arm any AERO_FAULT_PLAN
-    // robustness drill requested by the environment.
+    // 6 with context) instead of an abort.
     set_panic_handler(&throwing_panic_handler);
-    FaultInjector::instance().arm_from_env();
 
     try {
         if (args.validate_first) {

@@ -14,8 +14,10 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
     cb_.ensure_rows(num_threads);
     c_pure_.assign(num_threads, 1);
     tags_.ensure(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t)
+    for (uint32_t t = 0; t < num_threads; ++t) {
         c_[t].set(t, 1);
+        rel_owner_.push_back(next_rel_owner_++);
+    }
     parent_thread_.assign(num_threads, kNoThread);
     parent_txn_seq_.assign(num_threads, 0);
     reserve(0, num_vars, num_locks);
@@ -59,8 +61,10 @@ AeroDromeOpt::ensure_thread(ThreadId t)
         tags_.ensure(n);
         parent_thread_.resize(n, kNoThread);
         parent_txn_seq_.resize(n, 0);
-        for (size_t u = old; u < n; ++u)
+        for (size_t u = old; u < n; ++u) {
             c_[u].set(u, 1);
+            rel_owner_.push_back(next_rel_owner_++);
+        }
         txns_.ensure(static_cast<uint32_t>(n));
     }
 }
@@ -243,11 +247,10 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         // cycle, so skip the propagation entirely and only tidy the lazy
         // bookkeeping (Algorithm 3, lines 75-86).
         ++opt_stats_.gc_skipped_ends;
-        const uint64_t tag = tags_[t];
-        for (uint64_t& r : last_rel_) {
-            if (r == tag)
-                r = SlotTags::kNone;
-        }
+        // Every lock t released so far must be checked again at t's next
+        // acquire: a fresh release owner word stops them all matching at
+        // once, instead of a walk over every lock.
+        rel_owner_[t] = next_rel_owner_++;
     }
     sweep_update_window(t, propagate);
     return false;
@@ -364,7 +367,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
 
       case Op::kAcquire:
         ensure_lock(target);
-        if (last_rel_[target] != tags_[t]) {
+        if (last_rel_[target] != rel_owner_[t]) {
             return check_and_get_entry(lock_slot_[target], t, index,
                                        "acquire saw conflicting release");
         }
@@ -373,7 +376,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
       case Op::kRelease:
         ensure_lock(target);
         tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
-        last_rel_[target] = tags_[t];
+        last_rel_[target] = rel_owner_[t];
         return false;
 
       case Op::kFork:
@@ -481,6 +484,7 @@ AeroDromeOpt::retire_slot(uint32_t s)
     // thread's last-writer and last-releaser facts expire with its
     // incarnation.
     tags_.retire(s);
+    rel_owner_[s] = next_rel_owner_++;
     parent_thread_[s] = kNoThread;
     parent_txn_seq_[s] = 0;
     const ClockValue v = c_[s].get(s);
@@ -527,7 +531,8 @@ AeroDromeOpt::memory_bytes() const
         n += sr.capacity() * sizeof(ThreadId);
     n += c_pure_.capacity();
     n += parent_thread_.capacity() * sizeof(ThreadId);
-    n += (last_rel_.capacity() + parent_txn_seq_.capacity()) *
+    n += (last_rel_.capacity() + rel_owner_.capacity() +
+          parent_txn_seq_.capacity()) *
          sizeof(uint64_t);
     n += slots_.memory_bytes() + tags_.memory_bytes() +
          sweeper_.memory_bytes() + txns_.memory_bytes();

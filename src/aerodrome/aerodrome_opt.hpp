@@ -269,8 +269,15 @@ private:
     std::vector<uint8_t> c_pure_;
     bool epochs_ = true;
 
-    /** Last releaser of l, as an owner word of tags_. */
+    /** Last releaser of l, as that thread's rel_owner_ word then. An
+     *  acquire by a thread whose word still matches skips its check. */
     std::vector<uint64_t> last_rel_;
+    /** Release owner word per row, unique among all words ever issued:
+     *  reissued when the row's end skips propagation and when the row is
+     *  retired, so every lock fact the row left behind stops matching in
+     *  O(1). */
+    std::vector<uint64_t> rel_owner_;
+    uint64_t next_rel_owner_ = 0;
 
     /** Fork bookkeeping for hasIncomingEdge's "parentTr is alive". */
     std::vector<ThreadId> parent_thread_;

@@ -1,7 +1,6 @@
 #include "analysis/runner.hpp"
 
 #include "support/assert.hpp"
-#include "support/fault.hpp"
 #include "support/stopwatch.hpp"
 #include "trace/stream.hpp"
 
@@ -15,18 +14,10 @@ bool
 memory_breached(AtomicityChecker& checker, const RunBudget& budget,
                 RunResult& result)
 {
-    const bool fault_armed =
-        FaultInjector::instance().armed_for(FaultSite::kAlloc);
-    if (budget.max_memory_bytes == 0 && !fault_armed)
+    if (budget.max_memory_bytes == 0)
         return false;
     const uint64_t bytes = checker.memory_bytes();
-    if (fault_armed && FaultInjector::instance().alloc_breach(bytes)) {
-        result.internal_error =
-            "memory cap breached (injected) at " + std::to_string(bytes) +
-            " bytes";
-        return true;
-    }
-    if (budget.max_memory_bytes != 0 && bytes > budget.max_memory_bytes) {
+    if (bytes > budget.max_memory_bytes) {
         result.internal_error =
             "memory cap breached: " + std::to_string(bytes) + " > " +
             std::to_string(budget.max_memory_bytes) + " bytes";

@@ -1,15 +1,10 @@
 #include "trace/mapped_reader.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "support/assert.hpp"
-#include "support/fault.hpp"
 #include "vc/clock_bank.hpp" // AERO_VC_X86_DISPATCH + kHaveAvx2
 
 #ifdef AERO_VC_X86_DISPATCH
@@ -60,43 +55,27 @@ clean_scan_avx2(const uint8_t* d, size_t i, size_t end)
 }
 #endif
 
-bool
-mmap_allowed()
-{
-    if (const char* env = std::getenv("AERO_MMAP"))
-        return !(env[0] == '0' && env[1] == '\0');
-    return true;
-}
-
-bool
-ingest_fault_armed()
-{
-    return fault_points_compiled() &&
-           FaultInjector::instance().armed_for(FaultSite::kTraceByte);
-}
-
 } // namespace
 
 MappedBinaryEventSource::MappedBinaryEventSource(const std::string& path)
+    : MappedBinaryEventSource(std::make_unique<FileInput>(path))
 {
-    if (ingest_fault_armed()) {
-        own_stream_ =
-            std::make_unique<std::ifstream>(path, std::ios::binary);
-        if (!*own_stream_)
-            fatal("cannot open file for reading: " + path);
-        inner_ = std::make_unique<BinaryEventSource>(*own_stream_);
-        return;
+}
+
+MappedBinaryEventSource::MappedBinaryEventSource(
+    std::unique_ptr<FileInput> in)
+{
+    if (!map_file(*in)) {
+        file_ = std::move(in);
+        in_ = file_.get();
+        buf_.resize(kReadChunk);
+        data_ = buf_.data();
     }
-    open_mapped_or_buffered(path);
     parse_header();
 }
 
 MappedBinaryEventSource::MappedBinaryEventSource(std::istream& is)
 {
-    if (ingest_fault_armed()) {
-        inner_ = std::make_unique<BinaryEventSource>(is);
-        return;
-    }
     in_ = &is;
     buf_.resize(kReadChunk);
     data_ = buf_.data();
@@ -109,41 +88,24 @@ MappedBinaryEventSource::~MappedBinaryEventSource()
         ::munmap(map_base_, map_len_);
 }
 
-void
-MappedBinaryEventSource::open_mapped_or_buffered(const std::string& path)
+bool
+MappedBinaryEventSource::map_file(const FileInput& in)
 {
-    if (mmap_allowed()) {
-        const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-        if (fd >= 0) {
-            struct stat st;
-            if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
-                st.st_size > 0) {
-                void* m =
-                    ::mmap(nullptr, static_cast<size_t>(st.st_size),
-                           PROT_READ, MAP_PRIVATE, fd, 0);
-                if (m != MAP_FAILED) {
-                    ::madvise(m, static_cast<size_t>(st.st_size),
-                              MADV_SEQUENTIAL);
-                    ::close(fd);
-                    map_base_ = m;
-                    map_len_ = static_cast<size_t>(st.st_size);
-                    data_ = static_cast<const uint8_t*>(m);
-                    avail_ = map_len_;
-                    mapped_ = true;
-                    return;
-                }
-            }
-            ::close(fd);
-        }
-        // Not a regular file, or open/map failed: buffered fallback
-        // below keeps pipes and special files working.
-    }
-    own_stream_ = std::make_unique<std::ifstream>(path, std::ios::binary);
-    if (!*own_stream_)
-        fatal("cannot open file for reading: " + path);
-    in_ = own_stream_.get();
-    buf_.resize(kReadChunk);
-    data_ = buf_.data();
+    // The mapping starts at offset 0 whatever the descriptor's position,
+    // so bytes a format sniff already peeked are not lost.
+    if (!in.regular() || in.size() == 0)
+        return false;
+    const size_t len = static_cast<size_t>(in.size());
+    void* m = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, in.fd(), 0);
+    if (m == MAP_FAILED)
+        return false;
+    ::madvise(m, len, MADV_SEQUENTIAL);
+    map_base_ = m;
+    map_len_ = len;
+    data_ = static_cast<const uint8_t*>(m);
+    avail_ = map_len_;
+    mapped_ = true;
+    return true;
 }
 
 void
@@ -486,16 +448,12 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
 bool
 MappedBinaryEventSource::next(Event& out)
 {
-    if (inner_)
-        return inner_->next(out);
     return decode_block(&out, 1) == 1;
 }
 
 size_t
 MappedBinaryEventSource::next_n(Event* out, size_t n)
 {
-    if (inner_)
-        return inner_->next_n(out, n);
     if (n == 0)
         return 0;
     return decode_block(out, n);
@@ -504,37 +462,31 @@ MappedBinaryEventSource::next_n(Event* out, size_t n)
 const char*
 MappedBinaryEventSource::source_kind() const
 {
-    if (inner_)
-        return inner_->source_kind();
     return mapped_ ? "binary-mmap" : "binary-buffered";
 }
 
 void
 MappedBinaryEventSource::set_resync(bool on)
 {
-    if (inner_)
-        inner_->set_resync(on);
     resync_ = on;
 }
 
 const std::vector<StreamError>&
 MappedBinaryEventSource::recovered_errors() const
 {
-    return inner_ ? inner_->recovered_errors() : errors_;
+    return errors_;
 }
 
 uint64_t
 MappedBinaryEventSource::recovered_error_count() const
 {
-    return inner_ ? inner_->recovered_error_count() : errors_total_;
+    return errors_total_;
 }
 
 bool
 MappedBinaryEventSource::dimensions(uint32_t& threads, uint32_t& vars,
                                     uint32_t& locks) const
 {
-    if (inner_)
-        return inner_->dimensions(threads, vars, locks);
     threads = num_threads_;
     vars = num_vars_;
     locks = num_locks_;
@@ -544,7 +496,7 @@ MappedBinaryEventSource::dimensions(uint32_t& threads, uint32_t& vars,
 uint64_t
 MappedBinaryEventSource::expected_events() const
 {
-    return inner_ ? inner_->expected_events() : expected_;
+    return expected_;
 }
 
 } // namespace aero

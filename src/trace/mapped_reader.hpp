@@ -16,16 +16,13 @@
  * runtime dispatch); anything else takes a per-record slow path that
  * reproduces BinaryEventSource's error contract byte-for-byte.
  *
- * Fallback rules (the reader never refuses input BinaryEventSource
- * accepts):
- *  - pipes/stdin, mmap failure, or AERO_MMAP=0 switch to a read()-into-
- *    buffer window over the same batched kernel (absolute offsets are
- *    preserved across refills);
- *  - an armed AERO_FAULTS ingest plan (FaultSite::kTraceByte) delegates
- *    wholesale to an inner BinaryEventSource, whose per-byte hooks the
- *    fault plans target — arming happens before a run starts (the
- *    documented injector contract), so the choice is made once at
- *    construction.
+ * Which window a trace gets is decided by the input alone (the reader
+ * never refuses input BinaryEventSource accepts):
+ *  - a non-empty regular file is mmap'd ("binary-mmap");
+ *  - a pipe, FIFO, /dev/stdin or other non-regular file, an empty file,
+ *    or a file whose mmap fails is read() into a buffered window over
+ *    the same batched kernel ("binary-buffered"; absolute offsets are
+ *    preserved across refills).
  *
  * Error contract: identical to BinaryEventSource (src/trace/README.md)
  * — same StreamError causes, messages, event indices, and absolute byte
@@ -36,26 +33,31 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "trace/file_input.hpp"
 #include "trace/stream.hpp"
 
 namespace aero {
 
 class MappedBinaryEventSource : public EventSource {
 public:
-    /** Open `path`: mmap when it is a regular file and AERO_MMAP != 0,
-     *  else buffered reads. Parses and validates the header immediately;
-     *  throws StreamCorruption (kBadHeader) when malformed. Fatal when
-     *  the file cannot be opened. */
+    /** Open `path` and read it as below. Fatal when it cannot be
+     *  opened. */
     explicit MappedBinaryEventSource(const std::string& path);
 
-    /** Stream ctor (pipes, stdin, tests): always the buffered window.
-     *  `is` must outlive the source. */
+    /** Take over an opened input (open_event_source hands over the one it
+     *  sniffed): mmap it when it is a non-empty regular file, else read
+     *  its unconsumed bytes through the buffered window. Parses and
+     *  validates the header immediately; throws StreamCorruption
+     *  (kBadHeader) when malformed. */
+    explicit MappedBinaryEventSource(std::unique_ptr<FileInput> in);
+
+    /** Stream ctor (tests, benches): always the buffered window. `is`
+     *  must outlive the source. */
     explicit MappedBinaryEventSource(std::istream& is);
 
     ~MappedBinaryEventSource() override;
@@ -67,8 +69,7 @@ public:
     bool next(Event& out) override;
     size_t next_n(Event* out, size_t n) override;
 
-    /** "binary-mmap", "binary-buffered", or the inner per-item reader's
-     *  kind when an ingest fault plan forced delegation. */
+    /** "binary-mmap" or "binary-buffered". */
     const char* source_kind() const override;
 
     void set_resync(bool on) override;
@@ -92,18 +93,13 @@ private:
 
     enum class Rec : uint8_t { kOk, kShort, kBad };
 
-    void open_mapped_or_buffered(const std::string& path);
+    bool map_file(const FileInput& in);
     void parse_header();
     void refill();
     size_t decode_block(Event* out, size_t n);
     Rec decode_one(Event& out, size_t& len, StreamError& err);
     void extend_clean_span();
     void record_gap(StreamError err);
-
-    // Fault fallback: everything delegates to the per-item decoder whose
-    // per-byte hooks the armed ingest plan targets.
-    std::unique_ptr<std::ifstream> own_stream_;
-    std::unique_ptr<BinaryEventSource> inner_;
 
     // Byte window. Mapped: data_ spans the whole file and never moves.
     // Buffered: data_ == buf_.data(); refill() compacts and reads.
@@ -118,6 +114,7 @@ private:
     size_t map_len_ = 0;
 
     std::istream* in_ = nullptr; ///< buffered-mode byte source
+    std::unique_ptr<FileInput> file_; ///< owned buffered-mode input
     std::vector<uint8_t> buf_;
     bool src_eof_ = false;
 

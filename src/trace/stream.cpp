@@ -2,11 +2,10 @@
 
 #include <cctype>
 #include <cstring>
-#include <fstream>
 
 #include "support/assert.hpp"
-#include "support/fault.hpp"
 #include "support/str.hpp"
+#include "trace/file_input.hpp"
 #include "trace/mapped_reader.hpp"
 
 namespace aero {
@@ -163,14 +162,8 @@ bool
 TextEventSource::next(Event& out)
 {
     std::string line;
-    while (!truncated_ && std::getline(is_, line)) {
+    while (std::getline(is_, line)) {
         ++line_no_;
-#if defined(AERO_FAULTS)
-        if (!FaultInjector::instance().filter_text_line(line_no_, line)) {
-            truncated_ = true;
-            break;
-        }
-#endif
         std::string msg;
         int r = parse_line(line, out, msg);
         if (r == 1) {
@@ -267,13 +260,6 @@ BinaryEventSource::peek_byte(size_t k)
         if (truncated_)
             return -1;
         int c = is_.get();
-#if defined(AERO_FAULTS)
-        if (!FaultInjector::instance().filter_byte(offset_ + buf_.size(),
-                                                   c)) {
-            truncated_ = true; // injected stream cut
-            return -1;
-        }
-#endif
         if (c == EOF) {
             truncated_ = true;
             return -1;
@@ -455,21 +441,19 @@ BinaryEventSource::next_n(Event* out, size_t n)
     return k;
 }
 
+namespace {
+
+/** The format decision from the first (up to) 8 bytes of `path`. */
 bool
-trace_is_binary(const std::string& path)
+sniff_binary(std::string_view head, const std::string& path)
 {
     const bool ext_bin = path.size() > 4 &&
                          path.compare(path.size() - 4, 4, ".bin") == 0;
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe)
-        fatal("cannot open file for reading: " + path);
     static constexpr char kMagic[8] = {'A', 'E', 'R', 'O',
                                        'T', 'R', 'C', '1'};
-    char head[8];
-    probe.read(head, sizeof(head));
-    if (probe.gcount() < static_cast<std::streamsize>(sizeof(head)))
+    if (head.size() < sizeof(kMagic))
         return ext_bin; // too short to sniff: the extension decides
-    if (std::memcmp(head, kMagic, sizeof(kMagic)) == 0)
+    if (std::memcmp(head.data(), kMagic, sizeof(kMagic)) == 0)
         return true;
     if (ext_bin) {
         StreamError e;
@@ -484,18 +468,26 @@ trace_is_binary(const std::string& path)
     return false;
 }
 
+} // namespace
+
+bool
+trace_is_binary(const std::string& path)
+{
+    FileInput in(path);
+    return sniff_binary(in.peek(8), path);
+}
+
 std::unique_ptr<EventSource>
 open_event_source(const std::string& path,
                   std::unique_ptr<std::istream>& storage)
 {
-    if (trace_is_binary(path))
-        // Owns its mapping (or fallback read buffer); no istream needed.
-        return std::make_unique<MappedBinaryEventSource>(path);
-    auto file = std::make_unique<std::ifstream>(path);
-    if (!*file)
-        fatal("cannot open file for reading: " + path);
-    std::istream& ref = *file;
-    storage = std::move(file);
+    // One open per run: the sniff peeks, so the reader below still gets
+    // every byte, which is what a pipe or FIFO needs.
+    auto in = std::make_unique<FileInput>(path);
+    if (sniff_binary(in->peek(8), path))
+        return std::make_unique<MappedBinaryEventSource>(std::move(in));
+    std::istream& ref = *in;
+    storage = std::move(in);
     return std::make_unique<TextEventSource>(ref);
 }
 

@@ -200,7 +200,6 @@ private:
     size_t line_no_ = 0;
     uint64_t produced_ = 0;
     bool resync_ = false;
-    bool truncated_ = false; // injected stream cut (AERO_FAULTS)
     std::vector<StreamError> errors_;
     uint64_t errors_total_ = 0;
 };
@@ -260,8 +259,8 @@ private:
     uint32_t num_threads_ = 0;
     uint32_t num_vars_ = 0;
     uint32_t num_locks_ = 0;
-    /** Lookahead bytes already pulled from is_ (fault filter applied);
-     *  front is the next undecoded byte at stream offset offset_. */
+    /** Lookahead bytes already pulled from is_; front is the next
+     *  undecoded byte at stream offset offset_. */
     std::deque<int> buf_;
     uint64_t offset_ = 0; // absolute offset of buf_ front
     bool truncated_ = false;
@@ -276,16 +275,19 @@ private:
  * short to sniff. A ".bin" file without the magic is a contradiction —
  * parsing it as text would only produce noise — and raises
  * StreamCorruption (kBadHeader) naming both signals.
- * @return true for binary. Fatal when the file cannot be opened.
+ * @return true for binary. Fatal when the file cannot be opened. The
+ *         sniff consumes input, so call this only on a path that can be
+ *         opened again (a regular file).
  */
 bool trace_is_binary(const std::string& path);
 
 /**
- * Open a file as a streaming source. Format is sniffed by magic
- * (trace_is_binary); binary files get the block-decoding
- * MappedBinaryEventSource (mmap, buffered fallback — see
- * mapped_reader.hpp), which owns its input, so `storage` is only
- * populated for text sources.
+ * Open a trace as a streaming source. The path is opened once and its
+ * format sniffed as in trace_is_binary without consuming a byte, so
+ * pipes, FIFOs and /dev/stdin work. Binary traces get the block-decoding
+ * MappedBinaryEventSource (mmap for a regular file, else its buffered
+ * window — see mapped_reader.hpp), which owns its input, so `storage` is
+ * only populated for text sources.
  */
 std::unique_ptr<EventSource> open_event_source(const std::string& path,
                                                std::unique_ptr<std::istream>& storage);

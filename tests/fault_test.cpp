@@ -1,20 +1,22 @@
 /**
  * @file
- * Fault-injection harness suite (src/support/fault.hpp).
+ * Corruption drills (src/support/fault.hpp) through the readers users
+ * run, and the runner's resource-cap and panic-context paths.
  *
- * Covers the plan grammar, the deterministic corruption helper, the
- * always-compiled alloc-cap site, and the panic-context plumbing. The
- * per-byte trace-reader sites are compile-gated (-DAERO_FAULTS=ON); their
- * tests skip when the hooks are not present (fault_points_compiled()).
- *
- * Every injected failure must end in a structured RunStatus — never a
- * hang, an abort, or a torn result.
+ * Each drill corrupts a serialized image with corrupt_bytes and feeds it
+ * to a real decoder: MappedBinaryEventSource over a file for binary
+ * traces, TextEventSource for text. Every failure must end in a
+ * structured RunStatus — never a hang, an abort, or a torn result.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
@@ -22,67 +24,16 @@
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "trace/binary_io.hpp"
+#include "trace/mapped_reader.hpp"
 #include "trace/stream.hpp"
 #include "trace/text_io.hpp"
 
 namespace aero {
 namespace {
 
-/** Every test leaves the process-wide injector disarmed. */
-class Fault : public ::testing::Test {
-protected:
-    void TearDown() override { FaultInjector::instance().disarm(); }
-};
-
-// --- Plan grammar -----------------------------------------------------------
-
-TEST_F(Fault, PlanParsesMinimalSpec)
-{
-    auto plan = parse_fault_plan("trace-byte:bit-flip:5");
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->site, FaultSite::kTraceByte);
-    EXPECT_EQ(plan->kind, FaultKind::kBitFlip);
-    EXPECT_EQ(plan->trigger, 5u);
-    EXPECT_EQ(plan->seed, 1u);
-}
-
-TEST_F(Fault, PlanParsesFullSpec)
-{
-    auto plan = parse_fault_plan("trace-byte:garbage:3:42");
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->site, FaultSite::kTraceByte);
-    EXPECT_EQ(plan->kind, FaultKind::kGarbage);
-    EXPECT_EQ(plan->trigger, 3u);
-    EXPECT_EQ(plan->seed, 42u);
-
-    auto alloc = parse_fault_plan("alloc:alloc-cap:7");
-    ASSERT_TRUE(alloc.has_value());
-    EXPECT_EQ(alloc->site, FaultSite::kAlloc);
-    EXPECT_EQ(alloc->kind, FaultKind::kAllocCap);
-}
-
-TEST_F(Fault, PlanRejectsMalformedSpecs)
-{
-    // Unknown site / kind, kind-site mismatch, bad arity, bad numbers.
-    for (const char* spec :
-         {"", "alloc", "alloc:alloc-cap", "bogus:bit-flip:0",
-          "trace-byte:bogus:0",
-          "worker:kill:5", "worker:stall:0", "worker:delay:0", // unknown site
-          "ring:ring-full:7",           // unknown site
-          "trace-byte:alloc-cap:0",     // alloc kind on the byte site
-          "alloc:bit-flip:0",           // byte kind on the alloc site
-          "trace-byte:kill:0",          // unknown kind
-          "trace-byte:bit-flip:abc",    // non-numeric trigger
-          "trace-byte:bit-flip:-1",     // negative trigger
-          "trace-byte:bit-flip:0:x",    // bad seed
-          "trace-byte:bit-flip:0:any",  // bad seed
-          "trace-byte:bit-flip:0:1:2"}) // too many fields
-        EXPECT_FALSE(parse_fault_plan(spec).has_value()) << spec;
-}
-
 // --- corrupt_bytes helper ---------------------------------------------------
 
-TEST_F(Fault, CorruptBytesIsDeterministicAndRespectsMinOffset)
+TEST(Fault, CorruptBytesIsDeterministicAndRespectsMinOffset)
 {
     const std::string original(256, 'a');
     for (FaultKind kind :
@@ -108,7 +59,7 @@ TEST_F(Fault, CorruptBytesIsDeterministicAndRespectsMinOffset)
     EXPECT_TRUE(oc != od || c != d);
 }
 
-TEST_F(Fault, CorruptBytesOnTooSmallImageIsANoOp)
+TEST(Fault, CorruptBytesOnTooSmallImageIsANoOp)
 {
     std::string tiny = "ab";
     const uint64_t off =
@@ -117,52 +68,59 @@ TEST_F(Fault, CorruptBytesOnTooSmallImageIsANoOp)
     EXPECT_EQ(tiny, "ab");
 }
 
-// --- Compile-gated trace-byte sites -----------------------------------------
+// --- Corrupted images through the production readers ------------------------
 
-TEST_F(Fault, InjectedBinaryTruncationIsAStructuredStreamError)
+TEST(Fault, TruncatedBinaryImageIsAStructuredStreamError)
 {
-    if (!fault_points_compiled())
-        GTEST_SKIP() << "per-byte hooks not compiled (-DAERO_FAULTS=ON)";
-
     Trace t = gen::make_pipeline(4, 50);
     std::ostringstream blob;
     write_binary(blob, t);
+    std::string image = blob.str();
+    // Cut somewhere past the 28-byte header: mid-record or between
+    // records, the promised event count is never reached.
+    const uint64_t cut =
+        corrupt_bytes(image, FaultKind::kTruncate, /*seed=*/40, 28);
+    ASSERT_EQ(image.size(), cut);
 
-    FaultPlan plan;
-    plan.site = FaultSite::kTraceByte;
-    plan.kind = FaultKind::kTruncate;
-    plan.trigger = 40; // post-header byte count: mid-record territory
-    FaultInjector::instance().arm(plan);
-
-    std::istringstream in(blob.str(), std::ios::binary);
-    BinaryEventSource src(in);
-    AeroDromeOpt engine(0, 0, 0);
-    RunResult r = run_checker_stream(engine, src);
-    EXPECT_EQ(FaultInjector::instance().fires(), 1u);
+    const std::string path = ::testing::TempDir() + "aero_fault_trunc_" +
+                             std::to_string(::getpid()) + ".bin";
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    RunResult r;
+    {
+        MappedBinaryEventSource src(path);
+        AeroDromeOpt engine(0, 0, 0);
+        r = run_checker_stream(engine, src);
+    }
+    std::remove(path.c_str());
     ASSERT_EQ(r.status(), RunStatus::kStreamError);
     EXPECT_EQ(r.stream_error->cause, StreamError::Cause::kTruncated);
     EXPECT_FALSE(r.stream_error->message.empty());
     EXPECT_LT(r.events_processed, t.size());
 }
 
-TEST_F(Fault, InjectedTextGarbageStopsStrictAndResyncsWhenAsked)
+TEST(Fault, GarbledTextLineStopsStrictAndResyncsWhenAsked)
 {
-    if (!fault_points_compiled())
-        GTEST_SKIP() << "per-byte hooks not compiled (-DAERO_FAULTS=ON)";
-
     Trace t = gen::make_pipeline(2, 20);
     std::ostringstream text;
     write_text(text, t);
-
-    FaultPlan plan;
-    plan.site = FaultSite::kTraceByte;
-    plan.kind = FaultKind::kGarbage;
-    plan.trigger = 10; // 0-based line count
+    std::string image = text.str();
+    // Garble line 11 (1-based) in place; the newlines around it stay.
+    size_t line_start = 0;
+    for (int line = 1; line < 11; ++line)
+        line_start = image.find('\n', line_start) + 1;
+    const size_t line_len = image.find('\n', line_start) - line_start;
+    std::string line = image.substr(line_start, line_len);
+    corrupt_bytes(line, FaultKind::kGarbage, /*seed=*/7);
+    ASSERT_EQ(line.find('\n'), std::string::npos)
+        << "the garbage must not split line 11";
+    image.replace(line_start, line_len, line);
 
     // Strict: the corrupt line ends the run with a parse error naming it.
-    FaultInjector::instance().arm(plan);
     {
-        std::istringstream in(text.str());
+        std::istringstream in(image);
         TextEventSource src(in);
         AeroDromeOpt engine(0, 0, 0);
         RunResult r = run_checker_stream(engine, src);
@@ -173,9 +131,8 @@ TEST_F(Fault, InjectedTextGarbageStopsStrictAndResyncsWhenAsked)
 
     // Resync: the corrupt line is recorded and skipped; the run finishes
     // degraded, with the rest of the stream checked.
-    FaultInjector::instance().arm(plan);
     {
-        std::istringstream in(text.str());
+        std::istringstream in(image);
         TextEventSource src(in);
         src.set_resync(true);
         AeroDromeOpt engine(0, 0, 0);
@@ -187,31 +144,47 @@ TEST_F(Fault, InjectedTextGarbageStopsStrictAndResyncsWhenAsked)
     }
 }
 
-// --- Alloc faults ----------------------------------------------------------
+// --- Memory cap ---------------------------------------------------------------
 
-TEST_F(Fault, AllocCapBreachEndsTheRunAsInternalError)
+TEST(Fault, AllocCapBreachEndsTheRunAsInternalError)
 {
-    FaultPlan plan;
-    plan.site = FaultSite::kAlloc;
-    plan.kind = FaultKind::kAllocCap;
-    plan.trigger = 2; // sticky from the second budget poll on
-    FaultInjector::instance().arm(plan);
-
+    // RunBudget::max_memory_bytes, polled every check_interval events by
+    // both runner loops: a cap under the engine's footprint stops the run
+    // at the first poll; a cap above its final footprint never fires.
     Trace t = gen::make_pipeline(2, 200);
     RunBudget budget;
-    budget.check_interval = 64; // poll often enough to hit the trigger
+    budget.check_interval = 64;
+    budget.max_memory_bytes = 1;
+    auto expect_breach = [&t](const RunResult& r, const char* what) {
+        ASSERT_EQ(r.status(), RunStatus::kInternalError) << what;
+        EXPECT_NE(r.internal_error.find("memory cap breached"),
+                  std::string::npos)
+            << what << ": " << r.internal_error;
+        EXPECT_LT(r.events_processed, t.size()) << what;
+    };
+    {
+        AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
+        expect_breach(run_checker(engine, t, budget), "materialized");
+    }
+    {
+        TraceSource src(t);
+        AeroDromeOpt engine(0, 0, 0);
+        expect_breach(run_checker_stream(engine, src, budget), "stream");
+    }
+
+    AeroDromeOpt sizing(t.num_threads(), t.num_vars(), t.num_locks());
+    const RunResult full = run_checker(sizing, t);
+    budget.max_memory_bytes = 4 * sizing.memory_bytes();
     AeroDromeOpt engine(t.num_threads(), t.num_vars(), t.num_locks());
-    RunResult r = run_checker(engine, t, budget);
-    EXPECT_EQ(FaultInjector::instance().fires(), 1u);
-    ASSERT_EQ(r.status(), RunStatus::kInternalError);
-    EXPECT_NE(r.internal_error.find("injected"), std::string::npos)
-        << r.internal_error;
-    EXPECT_LT(r.events_processed, t.size());
+    const RunResult r = run_checker(engine, t, budget);
+    EXPECT_TRUE(r.internal_error.empty()) << r.internal_error;
+    EXPECT_EQ(r.status(), full.status());
+    EXPECT_EQ(r.events_processed, full.events_processed);
 }
 
 // --- Panic context ----------------------------------------------------------
 
-TEST_F(Fault, PanicMessageNamesTheEventIndex)
+TEST(Fault, PanicMessageNamesTheEventIndex)
 {
     PanicHandler prev = set_panic_handler(&throwing_panic_handler);
     {

@@ -13,30 +13,44 @@
  * (mmap and buffered windows) at block sizes {1, 7, 256, 4096} as
  * through BinaryEventSource::next() one event at a time.
  *
+ * The buffered window is also crossed at its 256 KiB refill edges, with
+ * records and corruptions straddling them.
+ *
  * Also here: the magic-sniffing format decision (extension only breaks
- * ties), the AERO_MMAP=0 fallback, and the block runner's budget-poll
- * boundaries (a block larger than check_interval must not blow past
- * max_seconds).
+ * ties), piped input (open_event_source on a FIFO reads every byte once
+ * and gives the file run's events and verdict), and the block runner's
+ * budget-poll boundaries (a block larger than check_interval must not
+ * blow past max_seconds).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "aerodrome/aerodrome_opt.hpp"
 #include "analysis/runner.hpp"
 #include "gen/random_program.hpp"
 #include "sim/scheduler.hpp"
+#include "gen/patterns.hpp"
+#include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/mapped_reader.hpp"
 #include "trace/stream.hpp"
+#include "trace/text_io.hpp"
 
 namespace aero {
 namespace {
@@ -59,12 +73,12 @@ corpus_trace(uint64_t seed)
 
 /** Synthetic trace whose ids need multi-byte varints, so the batched
  *  kernel's clean-span boundaries (LEB128 continuation bits) are
- *  exercised, not just the all-1-byte fast path. */
+ *  exercised, not just the all-1-byte fast path. ~14 bytes per round. */
 Trace
-wide_id_trace()
+wide_id_trace(uint32_t rounds = 120)
 {
     Trace t;
-    for (uint32_t i = 0; i < 120; ++i) {
+    for (uint32_t i = 0; i < rounds; ++i) {
         const ThreadId tid = (i * 37) % 200;       // 2-byte tids past 127
         const uint32_t var = (i * 991) % 20000;    // up to 3-byte vars
         t.begin(tid);
@@ -188,6 +202,57 @@ struct TempImage {
         f.write(image.data(), static_cast<std::streamsize>(image.size()));
     }
     ~TempImage() { std::remove(path.c_str()); }
+};
+
+/** A named FIFO in the test temp dir, fed `bytes` by a writer thread once
+ *  a reader opens it. The destructor unblocks and drains a writer the
+ *  test never read to the end, so a failing test cannot hang. */
+struct FifoFeeder {
+    std::string path;
+    std::atomic<bool> done{false};
+    std::thread writer; // last: it uses the members above
+
+    FifoFeeder(const FifoFeeder&) = delete;
+    FifoFeeder& operator=(const FifoFeeder&) = delete;
+
+    FifoFeeder(const std::string& bytes, const char* tag)
+    {
+        // A reader that stops early (a violation ends the run) must not
+        // kill the test with SIGPIPE; the writer sees EPIPE and stops.
+        std::signal(SIGPIPE, SIG_IGN);
+        path = ::testing::TempDir() + "aero_fifo_" + tag + "_" +
+               std::to_string(::getpid());
+        ::unlink(path.c_str());
+        if (::mkfifo(path.c_str(), 0600) != 0)
+            ADD_FAILURE() << "mkfifo " << path;
+        writer = std::thread([this, bytes] {
+            const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+            for (size_t off = 0; fd >= 0 && off < bytes.size();) {
+                const ssize_t n =
+                    ::write(fd, bytes.data() + off, bytes.size() - off);
+                if (n <= 0)
+                    break;
+                off += static_cast<size_t>(n);
+            }
+            if (fd >= 0)
+                ::close(fd);
+            done = true;
+        });
+    }
+
+    ~FifoFeeder()
+    {
+        const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+        char sink[4096];
+        while (!done) {
+            if (fd >= 0 && ::read(fd, sink, sizeof(sink)) < 0)
+                std::this_thread::yield();
+        }
+        writer.join();
+        if (fd >= 0)
+            ::close(fd);
+        ::unlink(path.c_str());
+    }
 };
 
 constexpr size_t kBlocks[] = {1, 7, 256, 4096};
@@ -316,33 +381,58 @@ TEST(BatchedDecodeParity, WideIdsCrossCleanSpanBoundaries)
     }
 }
 
-TEST(BatchedDecodeParity, MappedFallbackUnderAeroMmap0)
+TEST(BatchedDecodeParity, WindowRefillEdgesWithStraddlingCorruption)
 {
+    // The buffered window reads kReadChunk (256 KiB) at a time and
+    // compacts the undecoded tail of a record cut by the window's end to
+    // the front before the next read, so the first refill edge sits at
+    // absolute byte 256 KiB and the second within a record of 512 KiB.
+    // A > 2 x 256 KiB wide-id image puts multi-byte records across both.
+    constexpr size_t kChunk = 256 * 1024;
+    const std::string clean = serialize(wide_id_trace(44000));
+    ASSERT_GT(clean.size(), 2 * kChunk + 64);
+    cross_check_image(clean, "refill clean");
+
+    // Damage a few bytes either side of each edge, one fault flavor per
+    // site: a continuation bit set (a varint runs on), a run of 0xff
+    // (bad opcode, then overlong varints), and a cut (a torn record at,
+    // or just past, the window end).
+    int site = 0;
+    for (size_t edge : {kChunk, 2 * kChunk}) {
+        for (long delta : {-3L, -1L, 1L, 4L}) {
+            const size_t at = static_cast<size_t>(
+                static_cast<long>(edge) + delta);
+            std::string image = clean;
+            switch (site++ % 3) {
+              case 0:
+                image[at] = static_cast<char>(image[at] | 0x80);
+                break;
+              case 1:
+                image.replace(at, 6, 6, static_cast<char>(0xff));
+                break;
+              default:
+                image.resize(at);
+                break;
+            }
+            cross_check_image(image, "refill edge " +
+                                         std::to_string(edge) + "+" +
+                                         std::to_string(delta));
+        }
+    }
+}
+
+TEST(BatchedDecodeParity, NonRegularFileReadsThroughBufferedWindow)
+{
+    // A FIFO cannot be mapped: the same reader takes its buffered window
+    // over the one opened descriptor and decodes identically.
     const std::string image = serialize(corpus_trace(8777));
-    TempImage file(image, "mmap0");
-    // Only expect a live mapping when the ambient environment is not
-    // already forcing the fallback (the CI AERO_MMAP=0 sweep runs this
-    // whole binary with it set).
-    const char* ambient = ::getenv("AERO_MMAP");
-    const std::string saved = ambient ? ambient : "";
-    if (!(ambient && saved == "0")) {
-        MappedBinaryEventSource src(file.path);
-        EXPECT_TRUE(src.is_mapped());
-        EXPECT_STREQ(src.source_kind(), "binary-mmap");
-    }
-    ::setenv("AERO_MMAP", "0", 1);
-    {
-        MappedBinaryEventSource src(file.path);
-        EXPECT_FALSE(src.is_mapped());
-        EXPECT_STREQ(src.source_kind(), "binary-buffered");
-        DrainResult got = drain_batched(src, false, 256);
-        DrainResult ref = drain_reference(image, false);
-        expect_same_drain(ref, got, "AERO_MMAP=0");
-    }
-    if (ambient)
-        ::setenv("AERO_MMAP", saved.c_str(), 1);
-    else
-        ::unsetenv("AERO_MMAP");
+    FifoFeeder fifo(image, "buffered");
+    MappedBinaryEventSource src(fifo.path);
+    EXPECT_FALSE(src.is_mapped());
+    EXPECT_STREQ(src.source_kind(), "binary-buffered");
+    DrainResult got = drain_batched(src, false, 256);
+    DrainResult ref = drain_reference(image, false);
+    expect_same_drain(ref, got, "fifo");
 }
 
 TEST(BatchedDecodeParity, CheckerVerdictMatchesMaterialized)
@@ -421,13 +511,108 @@ TEST(FormatSniffing, OpenEventSourcePicksBlockReaderForBinary)
     }
     std::unique_ptr<std::istream> storage;
     auto src = open_event_source(path, storage);
-    // Under an ambient AERO_MMAP=0 (the CI sweep) the same block reader
-    // arrives on its buffered window.
-    const char* env = ::getenv("AERO_MMAP");
-    EXPECT_STREQ(src->source_kind(),
-                 env && std::string(env) == "0" ? "binary-buffered"
-                                                : "binary-mmap");
+    EXPECT_STREQ(src->source_kind(), "binary-mmap");
     std::remove(path.c_str());
+}
+
+TEST(FormatSniffing, UnreadableInputIsAnErrorNotAnEmptyTrace)
+{
+    // A directory opens but cannot be read: that must not pass for an
+    // empty text trace (which would check clean).
+    std::unique_ptr<std::istream> storage;
+    EXPECT_THROW(open_event_source(::testing::TempDir(), storage),
+                 FatalError);
+}
+
+// --- Piped input ---------------------------------------------------------------
+
+/** Everything the checker-facing side sees of one open_event_source. */
+struct PipedRun {
+    std::vector<Event> events;
+    std::string kind;
+    RunStatus status = RunStatus::kOk;
+    uint64_t processed = 0;
+    size_t violation_index = 0;
+};
+
+PipedRun
+drain_and_check(const std::string& path, const std::string& image,
+                bool fifo)
+{
+    PipedRun out;
+    {
+        std::optional<FifoFeeder> feeder;
+        if (fifo)
+            feeder.emplace(image, "drain");
+        std::unique_ptr<std::istream> storage;
+        auto src = open_event_source(fifo ? feeder->path : path, storage);
+        out.kind = src->source_kind();
+        DrainResult d = drain_batched(*src, false, 4096);
+        EXPECT_FALSE(d.threw) << d.error.message;
+        out.events = std::move(d.events);
+    }
+    std::optional<FifoFeeder> feeder;
+    if (fifo)
+        feeder.emplace(image, "check");
+    std::unique_ptr<std::istream> storage;
+    auto src = open_event_source(fifo ? feeder->path : path, storage);
+    AeroDromeOpt engine(0, 0, 0);
+    const RunResult r = run_checker_stream(engine, *src);
+    out.status = r.status();
+    out.processed = r.events_processed;
+    if (r.details)
+        out.violation_index = r.details->event_index;
+    return out;
+}
+
+void
+expect_fifo_matches_file(const std::string& image, const char* name,
+                         const char* fifo_kind)
+{
+    const std::string path = ::testing::TempDir() + name;
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    const PipedRun file = drain_and_check(path, image, false);
+    const PipedRun piped = drain_and_check(path, image, true);
+    std::remove(path.c_str());
+
+    EXPECT_EQ(piped.kind, fifo_kind) << name;
+    ASSERT_EQ(file.events.size(), piped.events.size()) << name;
+    for (size_t i = 0; i < file.events.size(); ++i)
+        ASSERT_TRUE(file.events[i] == piped.events[i]) << name << " " << i;
+    EXPECT_EQ(file.status, piped.status) << name;
+    EXPECT_EQ(file.processed, piped.processed) << name;
+    EXPECT_EQ(file.violation_index, piped.violation_index) << name;
+}
+
+TEST(PipedInput, FifoTextTraceMatchesFileRun)
+{
+    // A violating text trace: the sniff must not eat its first line.
+    Trace t = gen::make_pipeline(2, 50);
+    t.begin(0);
+    t.write(0, 0);
+    t.write(1, 0);
+    t.write(0, 0);
+    t.end(0);
+    std::ostringstream text;
+    write_text(text, t);
+    expect_fifo_matches_file(text.str(), "aero_piped.trace", "text");
+
+    std::unique_ptr<std::istream> storage;
+    AeroDromeOpt engine(0, 0, 0);
+    FifoFeeder feeder(text.str(), "verdict");
+    auto src = open_event_source(feeder.path, storage);
+    EXPECT_EQ(run_checker_stream(engine, *src).status(),
+              RunStatus::kViolation);
+}
+
+TEST(PipedInput, FifoBinaryTraceMatchesFileRun)
+{
+    // Several window refills' worth of records through the pipe.
+    expect_fifo_matches_file(serialize(wide_id_trace(40000)),
+                             "aero_piped.bin", "binary-buffered");
 }
 
 // --- Budget polls at block granularity ---------------------------------------

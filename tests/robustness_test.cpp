@@ -10,8 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
@@ -24,6 +29,7 @@
 #include "support/rng.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/builder.hpp"
+#include "trace/mapped_reader.hpp"
 #include "trace/stream.hpp"
 #include "trace/text_io.hpp"
 #include "trace/validator.hpp"
@@ -190,9 +196,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MutationFuzz,
 // The mutation fuzz above corrupts at the *event* level; real logs rot at
 // the *byte* level — flipped bits, torn tails, overwritten blocks,
 // including inside the header. Serialize a well-formed trace, corrupt
-// its image deterministically (corrupt_bytes — the same payloads the
-// AERO_FAULTS reader hooks inject, available in every build), and
-// stream it through a checker. The contract: the run ends in a
+// its image deterministically (corrupt_bytes), and stream it through a
+// checker from every binary decoder: the reference BinaryEventSource and
+// the MappedBinaryEventSource that aerocheck runs, over a file (mmap)
+// and over an istream (the buffered window pipes take). The contract: the run ends in a
 // structured status — ok, violation, or stream-error with populated
 // evidence (degraded for a resync run) — never an abort, a hang, or an
 // unstructured throw. The ASan+UBSan CI job runs this suite to pin
@@ -227,20 +234,22 @@ fuzz_kind(uint64_t seed)
     }
 }
 
-/** Stream a (possibly corrupt) binary image; every outcome must be
- *  structured. `resync` additionally allows the degraded completion. */
+/** Stream a (possibly corrupt) binary image through the source `open`
+ *  returns; every outcome must be structured. `resync` additionally
+ *  allows the degraded completion. */
+template <typename Open>
 void
-expect_structured_binary_outcome(const std::string& image, bool resync)
+expect_structured_binary_outcome(const Open& open, bool resync,
+                                 const char* reader)
 {
-    std::istringstream in(image, std::ios::binary);
     RunResult r;
     try {
-        BinaryEventSource src(in); // throws on a corrupt header
-        src.set_resync(resync);
+        auto src = open(); // throws on a corrupt header
+        src->set_resync(resync);
         AeroDromeOpt engine(0, 0, 0);
-        r = run_checker_stream(engine, src);
+        r = run_checker_stream(engine, *src);
     } catch (const StreamCorruption& e) {
-        EXPECT_FALSE(e.error().message.empty());
+        EXPECT_FALSE(e.error().message.empty()) << reader;
         return; // header rejection is a structured outcome
     }
     const RunStatus status = r.status();
@@ -248,10 +257,11 @@ expect_structured_binary_outcome(const std::string& image, bool resync)
                 status == RunStatus::kViolation ||
                 status == RunStatus::kStreamError ||
                 (resync && status == RunStatus::kDegraded))
-        << run_status_name(status);
+        << reader << ": " << run_status_name(status);
     if (status == RunStatus::kStreamError) {
-        EXPECT_FALSE(r.stream_error->message.empty());
-        EXPECT_LE(r.stream_error->event_index, r.events_processed);
+        EXPECT_FALSE(r.stream_error->message.empty()) << reader;
+        EXPECT_LE(r.stream_error->event_index, r.events_processed)
+            << reader;
     }
 }
 
@@ -273,8 +283,36 @@ TEST_P(CorruptionFuzz, BinaryByteCorruptionEndsStructured)
                       min_offset);
     ASSERT_LT(offset, blob.str().size()) << "corruption missed the image";
 
-    expect_structured_binary_outcome(image, /*resync=*/false);
-    expect_structured_binary_outcome(image, /*resync=*/true);
+    const std::string path = ::testing::TempDir() + "aero_corrupt_" +
+                             std::to_string(::getpid()) + "_" +
+                             std::to_string(seed) + ".bin";
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    for (bool resync : {false, true}) {
+        std::istringstream in;
+        auto rewind = [&in, &image] {
+            in.clear();
+            in.str(image);
+        };
+        expect_structured_binary_outcome(
+            [&] {
+                rewind();
+                return std::make_unique<BinaryEventSource>(in);
+            },
+            resync, "binary");
+        expect_structured_binary_outcome(
+            [&] {
+                rewind();
+                return std::make_unique<MappedBinaryEventSource>(in);
+            },
+            resync, "buffered");
+        expect_structured_binary_outcome(
+            [&] { return std::make_unique<MappedBinaryEventSource>(path); },
+            resync, "mmap");
+    }
+    std::remove(path.c_str());
 }
 
 TEST_P(CorruptionFuzz, TextByteCorruptionEndsStructured)

@@ -128,6 +128,91 @@ TEST(UpdateSetComplexity, WarmEndStillSweepsItsOwnAccesses)
     EXPECT_GE(engine.stats().end_swept_entries, uint64_t{vars});
 }
 
+// --- Opt's skipped end is O(1) in the lock count ------------------------------
+
+/** What one engine's counters moved by over a run of skipped ends. */
+struct SkippedEndCost {
+    uint64_t skipped = 0;
+    uint64_t comparisons = 0;
+    uint64_t joins = 0;
+    uint64_t swept = 0;
+    uint64_t gate_skipped = 0;
+};
+
+/** Thread 0 releases `locks` distinct locks once, then runs `ends`
+ *  one-read transactions. Nothing is ordered into them, so every end
+ *  skips propagation (hasIncomingEdge is false). */
+SkippedEndCost
+skipped_end_cost(uint32_t locks, uint32_t ends)
+{
+    AeroDromeOpt engine(1, 1, locks);
+    size_t i = 0;
+    for (LockId l = 0; l < locks; ++l) {
+        EXPECT_FALSE(engine.process({0, l, Op::kAcquire}, i++));
+        EXPECT_FALSE(engine.process({0, l, Op::kRelease}, i++));
+    }
+    const AeroDromeStats before = engine.stats();
+    const uint64_t skipped_before = engine.opt_stats().gc_skipped_ends;
+    for (uint32_t k = 0; k < ends; ++k) {
+        EXPECT_FALSE(engine.process({0, 0, Op::kBegin}, i++));
+        EXPECT_FALSE(engine.process({0, 0, Op::kRead}, i++));
+        EXPECT_FALSE(engine.process({0, 0, Op::kEnd}, i++));
+    }
+    const AeroDromeStats& after = engine.stats();
+    return {engine.opt_stats().gc_skipped_ends - skipped_before,
+            after.comparisons - before.comparisons,
+            after.joins - before.joins,
+            after.end_swept_entries - before.end_swept_entries,
+            after.end_gate_skipped - before.end_gate_skipped};
+}
+
+TEST(SkippedEndComplexity, OptSkippedEndCostIsIndependentOfLockCount)
+{
+    // A skipped end expires the thread's last-releaser facts by reissuing
+    // one owner word, not by visiting every lock: every counter the ends
+    // move is the same after 100k released locks as after one.
+    const uint32_t ends = 1000;
+    const SkippedEndCost one = skipped_end_cost(1, ends);
+    const SkippedEndCost many = skipped_end_cost(100000, ends);
+    EXPECT_EQ(one.skipped, ends);
+    EXPECT_EQ(many.skipped, ends);
+    EXPECT_EQ(one.comparisons, many.comparisons);
+    EXPECT_EQ(one.joins, many.joins);
+    EXPECT_EQ(one.swept, many.swept);
+    EXPECT_EQ(one.gate_skipped, many.gate_skipped);
+    EXPECT_LE(many.swept, uint64_t{8} * ends);
+}
+
+TEST(SkippedEndComplexity, OptAcquireAfterSkippedEndIsChecked)
+{
+    // Re-acquiring a lock the thread itself released last skips the
+    // check, until one of the thread's ends skips propagation; from then
+    // on the next acquire of each such lock is checked, and a new
+    // release restores the skip.
+    const LockId locks = 50;
+    AeroDromeOpt engine(1, 1, locks);
+    size_t i = 0;
+    auto acquire_comparisons = [&](LockId l) {
+        const uint64_t before = engine.stats().comparisons;
+        EXPECT_FALSE(engine.process({0, l, Op::kAcquire}, i++));
+        return engine.stats().comparisons - before;
+    };
+    for (LockId l = 0; l < locks; ++l) {
+        EXPECT_EQ(acquire_comparisons(l), 1u) << "first acquire " << l;
+        EXPECT_FALSE(engine.process({0, l, Op::kRelease}, i++));
+        EXPECT_EQ(acquire_comparisons(l), 0u) << "own release " << l;
+        EXPECT_FALSE(engine.process({0, l, Op::kRelease}, i++));
+    }
+    EXPECT_FALSE(engine.process({0, 0, Op::kBegin}, i++));
+    EXPECT_FALSE(engine.process({0, 0, Op::kEnd}, i++));
+    ASSERT_EQ(engine.opt_stats().gc_skipped_ends, 1u);
+    for (LockId l = 0; l < locks; ++l) {
+        EXPECT_EQ(acquire_comparisons(l), 1u) << "after skipped end " << l;
+        EXPECT_FALSE(engine.process({0, l, Op::kRelease}, i++));
+        EXPECT_EQ(acquire_comparisons(l), 0u) << "released again " << l;
+    }
+}
+
 // --- Fuzz parity: update sets on vs off, all three engines ---------------
 
 Trace
