@@ -180,16 +180,12 @@ AeroDromeBasic::handle_end(ThreadId t, size_t index)
             ++stats_.end_gate_skipped;
         }
     };
-    tbl_.seal_update_window(t);
-    if (tbl_.update_window_tracked(t)) {
-        for (uint32_t i : tbl_.update_entries(t))
-            sweep(i);
-    } else {
+    if (!tbl_.drain_update_window(t, sweep)) {
         const size_t n = tbl_.size();
         for (size_t i = 0; i < n; ++i)
             sweep(i);
+        tbl_.close_update_window(t);
     }
-    tbl_.close_update_window(t);
     return false;
 }
 

@@ -1,7 +1,6 @@
 #include "aerodrome/aerodrome_opt.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 namespace aero {
 
@@ -9,17 +8,7 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
                            uint32_t num_locks)
     : txns_(num_threads)
 {
-    grow_dim(num_threads);
-    c_.ensure_rows(num_threads);
-    cb_.ensure_rows(num_threads);
-    c_pure_.assign(num_threads, 1);
-    tags_.ensure(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t) {
-        c_[t].set(t, 1);
-        rel_owner_.push_back(next_rel_owner_++);
-    }
-    parent_thread_.assign(num_threads, kNoThread);
-    parent_txn_seq_.assign(num_threads, 0);
+    add_threads(num_threads);
     reserve(0, num_vars, num_locks);
 }
 
@@ -29,15 +18,16 @@ AeroDromeOpt::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
     // With gc on the hint counts external tids; rows are recycled slots.
     if (threads > 0 && !gc_)
         ensure_thread(threads - 1);
-    if (locks > 0)
-        ensure_lock(locks - 1);
-    // Variables get their record and entries at first touch; only the id
-    // map is written here, the rest is capacity no page of which is
-    // touched until a variable claims it.
+    // Variables and locks get their record and entries at first touch;
+    // only the id maps are written here, the rest is capacity no page of
+    // which is touched until a variable or lock claims it.
     if (vars > var_idx_.size())
         var_idx_.resize(vars, kUntouched);
-    vars_.reserve(vars);
-    tbl_.reserve_entries(lock_slot_.size() + size_t{3} * vars);
+    if (locks > lock_idx_.size())
+        lock_idx_.resize(locks, kUntouched);
+    const size_t recs = size_t{vars} + locks;
+    recs_.reserve(recs);
+    tbl_.reserve_entries(3 * recs);
 }
 
 void
@@ -49,109 +39,70 @@ AeroDromeOpt::grow_dim(size_t n)
 }
 
 void
-AeroDromeOpt::ensure_thread(ThreadId t)
+AeroDromeOpt::add_threads(size_t n)
 {
-    if (t >= c_.rows()) {
-        size_t old = c_.rows();
-        size_t n = t + 1;
-        grow_dim(n);
-        c_.ensure_rows(n);
-        cb_.ensure_rows(n);
-        c_pure_.resize(n, 1);
-        tags_.ensure(n);
-        parent_thread_.resize(n, kNoThread);
-        parent_txn_seq_.resize(n, 0);
-        for (size_t u = old; u < n; ++u) {
-            c_[u].set(u, 1);
-            rel_owner_.push_back(next_rel_owner_++);
-        }
-        txns_.ensure(static_cast<uint32_t>(n));
+    const size_t old = c_.rows();
+    grow_dim(n);
+    c_.ensure_rows(n);
+    cb_.ensure_rows(n);
+    c_pure_.resize(n, 1);
+    recv_.resize(n, 0);
+    tags_.ensure(n);
+    parent_thread_.resize(n, kNoThread);
+    parent_txn_seq_.resize(n, 0);
+    rel_owner_.resize(n);
+    for (size_t u = old; u < n; ++u) {
+        c_[u].set(u, 1);
+        rel_owner_[u] = next_rel_owner_++;
     }
+    txns_.ensure(static_cast<uint32_t>(n));
 }
 
 uint32_t
-AeroDromeOpt::touch_var(VarId x)
+AeroDromeOpt::touch(std::vector<uint32_t>& idx, uint32_t id, bool lock)
 {
-    if (x >= var_idx_.size())
-        var_idx_.resize(size_t{x} + 1, kUntouched);
-    const uint32_t vi = static_cast<uint32_t>(vars_.size());
-    const uint32_t base = tbl_.add_entry(); // W_x
-    tbl_.add_entry();                       // R_x
-    tbl_.add_entry();                       // hR_x
-    vars_.push_back({SlotTags::kNone, base, kNoSpill, 0, 0, {}});
-    var_idx_[x] = vi;
-    return vi;
+    if (id >= idx.size())
+        idx.resize(size_t{id} + 1, kUntouched);
+    const uint32_t r = static_cast<uint32_t>(recs_.size());
+    tbl_.add_entry(); // W_x or L_l, at base_of(r)
+    tbl_.add_entry(); // R_x
+    tbl_.add_entry(); // hR_x
+    recs_.push_back({SlotTags::kNone, kNoSpill, 0, 0, lock, {}});
+    idx[id] = r;
+    return r;
 }
 
 void
-AeroDromeOpt::add_stale_reader(VarState& v, ThreadId t)
+AeroDromeOpt::add_stale_reader_spilled(Record& v, ThreadId t)
 {
-    if (std::find(readers_begin(v), readers_end(v), t) != readers_end(v))
-        return;
-    if (v.spill != kNoSpill) {
-        spill_[v.spill].push_back(t);
-    } else if (v.n_readers < std::size(v.readers)) {
-        v.readers[v.n_readers++] = t;
-    } else {
+    if (v.spill == kNoSpill) {
+        // The inline slots are full and t is not among them.
         v.spill = static_cast<uint32_t>(spill_.size());
         spill_.emplace_back(v.readers, v.readers + v.n_readers);
         spill_.back().push_back(t);
         v.n_readers = 0;
+        return;
     }
+    auto& sr = spill_[v.spill];
+    if (std::find(sr.begin(), sr.end(), t) == sr.end())
+        sr.push_back(t);
 }
 
 bool
-AeroDromeOpt::drop_stale_reader(VarState& v, ThreadId t)
+AeroDromeOpt::drop_spilled_reader(Record& v, ThreadId t)
 {
-    if (v.spill != kNoSpill) {
-        auto& sr = spill_[v.spill];
-        auto it = std::find(sr.begin(), sr.end(), t);
-        if (it == sr.end())
-            return false;
-        sr.erase(it);
-        return true;
-    }
-    ThreadId* end = v.readers + v.n_readers;
-    ThreadId* it = std::find(v.readers, end, t);
-    if (it == end)
+    auto& sr = spill_[v.spill];
+    auto it = std::find(sr.begin(), sr.end(), t);
+    if (it == sr.end())
         return false;
-    std::copy(it + 1, end, it);
-    --v.n_readers;
+    sr.erase(it);
     return true;
 }
 
-void
-AeroDromeOpt::ensure_lock(LockId l)
-{
-    while (l >= lock_slot_.size()) {
-        lock_slot_.push_back(tbl_.add_entry());
-        last_rel_.push_back(SlotTags::kNone);
-    }
-}
-
 bool
-AeroDromeOpt::check_and_get_entry(size_t slot, ThreadId t, size_t index,
-                                  const char* reason)
+AeroDromeOpt::fail(size_t index, ThreadId t, const char* reason)
 {
-    ++stats_.comparisons;
-    if (txns_.active(t) && begin_before(t, tbl_.get(slot, t)))
-        return report(index, rid(t), reason);
-    ++stats_.joins;
-    tbl_.join_into(c_[t], slot, t, c_pure_[t]);
-    return false;
-}
-
-bool
-AeroDromeOpt::check_and_get_entry2(size_t check_slot, size_t join_slot,
-                                   ThreadId t, size_t index,
-                                   const char* reason)
-{
-    ++stats_.comparisons;
-    if (txns_.active(t) && begin_before(t, tbl_.get(check_slot, t)))
-        return report(index, rid(t), reason);
-    ++stats_.joins;
-    tbl_.join_into(c_[t], join_slot, t, c_pure_[t]);
-    return false;
+    return report(index, rid(t), reason);
 }
 
 bool
@@ -161,9 +112,10 @@ AeroDromeOpt::check_and_get_clock(ConstClockRef clk, ThreadId src,
 {
     ++stats_.comparisons;
     if (txns_.active(t) && begin_before(t, clk.get(t)))
-        return report(index, rid(t), reason);
+        return fail(index, t, reason);
     ++stats_.joins;
-    join_qualified(c_[t], t, c_pure_[t], clk, src, src_pure);
+    if (join_qualified(c_[t], t, c_pure_[t], clk, src, src_pure))
+        recv_[t] = 1;
     return false;
 }
 
@@ -178,13 +130,20 @@ AeroDromeOpt::has_incoming_edge(ThreadId t) const
         txns_.seq(p) == parent_txn_seq_[t]) {
         return true;
     }
+    // A pure C_t == bot[v/t] and the C_t^b below it have no foreign
+    // component, so neither test below can fire.
+    if (c_pure_[t])
+        return false;
     // Did C_t grow beyond C_t^b in any foreign component, i.e. did this
-    // transaction receive an ordering from elsewhere since begin?
-    ConstClockRef ct = c_[t];
+    // transaction receive an ordering from elsewhere since begin? Only
+    // a join that recv_ saw can have made it so.
     ConstClockRef cbt = cb_[t];
-    for (size_t u = 0; u < ct.dim(); ++u) {
-        if (u != t && ct.get(u) != cbt.get(u))
-            return true;
+    if (recv_[t]) {
+        ConstClockRef ct = c_[t];
+        for (size_t u = 0; u < ct.dim(); ++u) {
+            if (u != t && ct.get(u) != cbt.get(u))
+                return true;
+        }
     }
     // Transit-ancestry guard. The literal check above (the paper's
     // C_t^b[0/t] != C_t[0/t]) only sees orderings received *during* the
@@ -197,52 +156,30 @@ AeroDromeOpt::has_incoming_edge(ThreadId t) const
     // candidate's begin clock is necessarily contained in C_t^b. So the
     // fast path stays sound-and-complete if we propagate whenever some
     // *other still-active* transaction's begin is visible in C_t^b.
-    for (ThreadId u = 0; u < c_.rows(); ++u) {
-        if (u != t && txns_.active(u) && cb_[u].get(u) > 0 &&
-            cb_[u].get(u) <= cbt.get(u)) {
-            return true;
+    // Every active transaction has an open update window, so with the
+    // windows on only those threads are walked.
+    auto visible = [&](ThreadId u) {
+        return u != t && txns_.active(u) && cb_[u].get(u) > 0 &&
+               cb_[u].get(u) <= cbt.get(u);
+    };
+    if (tbl_.update_sets_enabled()) {
+        for (ThreadId u : tbl_.open_windows()) {
+            if (visible(u))
+                return true;
         }
+        return false;
+    }
+    for (ThreadId u = 0; u < c_.rows(); ++u) {
+        if (visible(u))
+            return true;
     }
     return false;
-}
-
-void
-AeroDromeOpt::flush_stale_readers(VarState& v)
-{
-    const size_t base = v.base;
-    for (ThreadId *u = readers_begin(v), *e = readers_end(v); u != e; ++u) {
-        stats_.joins += 2;
-        const bool pure = pure_of(*u);
-        tbl_.join(base + 1, c_[*u], *u, pure);        // R_x
-        tbl_.join_except(base + 2, c_[*u], *u, pure); // hR_x
-    }
-    if (v.spill != kNoSpill)
-        spill_[v.spill].clear();
-    v.n_readers = 0;
 }
 
 bool
 AeroDromeOpt::handle_end(ThreadId t, size_t index)
 {
-    const bool propagate = has_incoming_edge(t);
-    if (propagate) {
-        ++opt_stats_.propagated_ends;
-        ConstClockRef ct = c_[t];
-        const ClockValue cbt_t = cb_[t].get(t);
-        const bool ct_pure = pure_of(t);
-        for (ThreadId u = 0; u < c_.rows(); ++u) {
-            if (u == t)
-                continue;
-            ++stats_.comparisons;
-            if (cbt_t <= c_[u].get(t)) {
-                if (check_and_get_clock(ct, t, ct_pure, u, index,
-                                        "active peer ordered into "
-                                        "completed transaction")) {
-                    return true;
-                }
-            }
-        }
-    } else {
+    if (!has_incoming_edge(t)) {
         // Garbage-collected end: this transaction can never lie on a
         // cycle, so skip the propagation entirely and only tidy the lazy
         // bookkeeping (Algorithm 3, lines 75-86).
@@ -251,13 +188,49 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         // acquire: a fresh release owner word stops them all matching at
         // once, instead of a walk over every lock.
         rel_owner_[t] = next_rel_owner_++;
+        settle_own_stale(t);
+        return false;
     }
-    sweep_update_window(t, propagate);
+    ++opt_stats_.propagated_ends;
+    ConstClockRef ct = c_[t];
+    const ClockValue cbt_t = cb_[t].get(t);
+    const bool ct_pure = pure_of(t);
+    for (ThreadId u = 0; u < c_.rows(); ++u) {
+        if (u == t)
+            continue;
+        ++stats_.comparisons;
+        if (cbt_t <= c_[u].get(t)) {
+            if (check_and_get_clock(ct, t, ct_pure, u, index,
+                                    "active peer ordered into "
+                                    "completed transaction")) {
+                return true;
+            }
+        }
+    }
+    sweep_update_window(t);
     return false;
 }
 
+template <class Visit>
 void
-AeroDromeOpt::sweep_update_window(ThreadId t, bool propagate)
+AeroDromeOpt::drain_update_window(ThreadId t, Visit visit)
+{
+    if (tbl_.drain_update_window(t, visit))
+        return;
+    const uint32_t n = static_cast<uint32_t>(recs_.size());
+    for (uint32_t r = 0; r < n; ++r) {
+        const uint32_t i = static_cast<uint32_t>(base_of(r));
+        visit(i);
+        if (!recs_[r].lock) {
+            visit(i + 1);
+            visit(i + 2);
+        }
+    }
+    tbl_.close_update_window(t);
+}
+
+void
+AeroDromeOpt::sweep_update_window(ThreadId t)
 {
     const uint64_t tag = tags_[t];
     ConstClockRef ct = c_[t];
@@ -272,64 +245,65 @@ AeroDromeOpt::sweep_update_window(ThreadId t, bool propagate)
     };
     // The window holds every entry a mutation since t's begin could have
     // made gate-fireable, plus the W_x / R_x entries of t's own lazy
-    // accesses, which mutate nothing until flushed. Sealed first, so the
-    // sweep's joins enroll only into other threads' windows.
-    auto sweep = [&](uint32_t i) {
+    // accesses, which mutate nothing until flushed.
+    drain_update_window(t, [&](uint32_t i) {
         ++stats_.end_swept_entries;
-        const auto lk =
-            std::lower_bound(lock_slot_.begin(), lock_slot_.end(), i);
-        if (lk != lock_slot_.end() && *lk == i) { // L_l
-            if (propagate && gate_fires(i)) {
-                ++stats_.joins;
-                tbl_.join(i, ct, t, ct_pure);
-            }
-            return;
-        }
-        const uint32_t rel =
-            i - static_cast<uint32_t>(lk - lock_slot_.begin());
-        VarState& v = vars_[rel / 3];
-        switch (rel % 3) {
-          case 0: { // W_x
-            const bool own = v.stale_write && v.last_w == tag;
+        Record& v = recs_[i / 3];
+        switch (i % 3) {
+          case 0: { // W_x, or L_l (never a stale write)
+            const bool own = v.stale_write && v.owner == tag;
             // Another thread's stale write supersedes: future accesses
             // check its live clock, which absorbed C_t in the peer loop.
             if (v.stale_write && !own)
                 break;
-            if (own) { // our pending write lands now, or never
-                v.stale_write = 0;
-                if (!propagate)
-                    v.last_w = SlotTags::kNone;
-            }
-            if (propagate && (own || gate_fires(i))) {
+            v.stale_write = 0; // our pending write lands now
+            if (own || gate_fires(i)) {
                 ++stats_.joins;
                 tbl_.join(i, ct, t, ct_pure);
             }
             break;
           }
-          case 1: { // R_x, with its hR_x partner at i + 1
-            const bool own = drop_stale_reader(v, t);
-            if (propagate && (own || gate_fires(i))) {
+          case 1: // R_x, with its hR_x partner at i + 1
+            if (drop_stale_reader(v, t) || gate_fires(i)) {
                 stats_.joins += 2;
                 tbl_.join(i, ct, t, ct_pure);
                 tbl_.join_except(i + 1, ct, t, ct_pure);
             }
             break;
-          }
           default: // hR_x: updated with its R_x partner
             ++stats_.end_gate_skipped;
             break;
         }
-    };
-    tbl_.seal_update_window(t);
-    if (tbl_.update_window_tracked(t)) {
-        for (uint32_t i : tbl_.update_entries(t))
-            sweep(i);
-    } else {
-        const uint32_t n = static_cast<uint32_t>(tbl_.size());
-        for (uint32_t i = 0; i < n; ++i)
-            sweep(i);
-    }
-    tbl_.close_update_window(t);
+    });
+}
+
+void
+AeroDromeOpt::settle_own_stale(ThreadId t)
+{
+    // t's pending write never lands and its pending reads are dropped:
+    // this transaction's accesses order nothing after it.
+    const uint64_t tag = tags_[t];
+    uint64_t swept = 0, hr = 0; // locals: the record stores alias stats_
+    drain_update_window(t, [&](uint32_t i) {
+        ++swept;
+        Record& v = recs_[i / 3];
+        switch (i % 3) {
+          case 0:
+            if (v.stale_write && v.owner == tag) {
+                v.stale_write = 0;
+                v.owner = SlotTags::kNone;
+            }
+            break;
+          case 1:
+            drop_stale_reader(v, t);
+            break;
+          default:
+            ++hr;
+            break;
+        }
+    });
+    stats_.end_swept_entries += swept;
+    stats_.end_gate_skipped += hr;
 }
 
 bool
@@ -352,6 +326,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
         if (txns_.on_begin(t)) {
             c_[t].tick(t); // purity preserved
             cb_[t].assign(c_[t]);
+            recv_[t] = 0;
             tbl_.open_update_window(t, cb_[t].get(t));
         }
         return false;
@@ -365,25 +340,28 @@ AeroDromeOpt::process(const Event& e, size_t index)
         }
         return false;
 
-      case Op::kAcquire:
-        ensure_lock(target);
-        if (last_rel_[target] != rel_owner_[t]) {
-            return check_and_get_entry(lock_slot_[target], t, index,
+      case Op::kAcquire: {
+        const uint32_t r = lock_index(target);
+        if (recs_[r].owner != rel_owner_[t]) {
+            return check_and_get_entry(base_of(r), t, index,
                                        "acquire saw conflicting release");
         }
         return false;
+      }
 
-      case Op::kRelease:
-        ensure_lock(target);
-        tbl_.assign(lock_slot_[target], c_[t], t, pure_of(t));
-        last_rel_[target] = rel_owner_[t];
+      case Op::kRelease: {
+        const uint32_t r = lock_index(target);
+        tbl_.assign(base_of(r), c_[t], t, pure_of(t));
+        recs_[r].owner = rel_owner_[t];
         return false;
+      }
 
       case Op::kFork:
         ensure_thread(target);
         ++stats_.joins;
-        join_qualified(c_[target], target, c_pure_[target], c_[t], t,
-                       pure_of(t));
+        if (join_qualified(c_[target], target, c_pure_[target], c_[t], t,
+                           pure_of(t)))
+            recv_[target] = 1;
         parent_thread_[target] = t;
         parent_txn_seq_[target] = txns_.active(t) ? txns_.seq(t) : 0;
         return false;
@@ -400,13 +378,14 @@ AeroDromeOpt::process(const Event& e, size_t index)
       }
 
       case Op::kRead: {
-        VarState& v = vars_[var_index(target)];
-        const size_t base = v.base;
+        const uint32_t r = var_index(target);
+        Record& v = recs_[r];
+        const size_t base = base_of(r);
         const uint64_t tag = tags_[t];
-        if (v.last_w != tag) {
+        if (v.owner != tag) {
             bool bad;
             if (v.stale_write) {
-                ThreadId lw = SlotTags::row(v.last_w);
+                ThreadId lw = SlotTags::row(v.owner);
                 bad = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
                                           index,
                                           "read saw conflicting write");
@@ -421,7 +400,7 @@ AeroDromeOpt::process(const Event& e, size_t index)
             // Lazy: defer the R_x/hR_x update to the next write of x or to
             // our transaction end.
             add_stale_reader(v, t);
-            tbl_.enroll_update_entry(t, v.base + 1);
+            tbl_.enroll_update_entry(t, static_cast<uint32_t>(base + 1));
             ++opt_stats_.lazy_reads;
         } else {
             // Unary read: its transaction completes now; flush eagerly so
@@ -436,13 +415,14 @@ AeroDromeOpt::process(const Event& e, size_t index)
       }
 
       case Op::kWrite: {
-        VarState& v = vars_[var_index(target)];
-        const size_t base = v.base;
+        const uint32_t r = var_index(target);
+        Record& v = recs_[r];
+        const size_t base = base_of(r);
         const uint64_t tag = tags_[t];
-        if (v.last_w != tag) {
+        if (v.owner != tag) {
             bool bad;
             if (v.stale_write) {
-                ThreadId lw = SlotTags::row(v.last_w);
+                ThreadId lw = SlotTags::row(v.owner);
                 bad = check_and_get_clock(c_[lw], lw, pure_of(lw), t,
                                           index,
                                           "write saw conflicting write");
@@ -453,20 +433,20 @@ AeroDromeOpt::process(const Event& e, size_t index)
             if (bad)
                 return true;
         }
-        flush_stale_readers(v);
+        flush_stale_readers(r);
         if (check_and_get_entry2(base + 2, base + 1, t, index,
                                  "write saw conflicting read")) {
             return true;
         }
         if (txns_.active(t)) {
             v.stale_write = 1;
-            tbl_.enroll_update_entry(t, v.base);
+            tbl_.enroll_update_entry(t, static_cast<uint32_t>(base));
             ++opt_stats_.lazy_writes;
         } else {
             v.stale_write = 0;
             tbl_.assign(base, c_[t], t, pure_of(t));
         }
-        v.last_w = tag;
+        v.owner = tag;
         return false;
       }
     }
@@ -524,14 +504,14 @@ size_t
 AeroDromeOpt::memory_bytes() const
 {
     size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
-    n += (lock_slot_.capacity() + var_idx_.capacity()) * sizeof(uint32_t);
-    n += vars_.capacity() * sizeof(VarState);
+    n += (var_idx_.capacity() + lock_idx_.capacity()) * sizeof(uint32_t);
+    n += recs_.capacity() * sizeof(Record);
     n += spill_.capacity() * sizeof(spill_[0]);
     for (const auto& sr : spill_)
         n += sr.capacity() * sizeof(ThreadId);
-    n += c_pure_.capacity();
+    n += c_pure_.capacity() + recv_.capacity();
     n += parent_thread_.capacity() * sizeof(ThreadId);
-    n += (last_rel_.capacity() + rel_owner_.capacity() +
+    n += (rel_owner_.capacity() +
           parent_txn_seq_.capacity()) *
          sizeof(uint64_t);
     n += slots_.memory_bytes() + tags_.memory_bytes() +

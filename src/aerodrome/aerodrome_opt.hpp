@@ -32,7 +32,8 @@
  *    unchanged outside its own component) and whose forking transaction is
  *    no longer alive can never be part of a violating cycle — mirroring
  *    Velodrome's no-incoming-edge rule — so its end event skips the entire
- *    propagation phase.
+ *    propagation phase and only settles its own lazy accesses. The test
+ *    costs O(active transactions), whatever the thread count.
  *
  * All ordering tests use the one-component ("lightweight timestamp") form;
  * see aerodrome_readopt.hpp for why this is equivalent.
@@ -43,21 +44,27 @@
  * state stays epoch-shaped, inflating into the shared arena on first
  * contention. Purity bits on C_t drive the fast paths.
  *
- * Per-variable state is stored in first-touch order: a variable's first
- * access gives it the next dense index and one 32-byte VarState record
- * (its W/R/hR entries, last writer, stale-write flag and stale readers).
- * Variables used together sit together however scattered their ids are,
- * and an end event walks its window through records and table entries
- * laid out in the order the variables were first touched.
+ * Per-variable and per-lock state is stored in first-touch order: a
+ * variable's or lock's first access gives it the next dense record index
+ * r and one 32-byte Record, and record r owns table entries 3r, 3r+1 and
+ * 3r+2 (a variable's W_x / R_x / hR_x; a lock's L_l at 3r, the other two
+ * never written). Entry i therefore belongs to record i / 3 in role
+ * i % 3 whatever order locks and variables first appear in, which is
+ * what lets an end sweep decode an entry in O(1) with no per-entry side
+ * array. State used together sits together however scattered the ids
+ * are, and an end event walks its window through records and table
+ * entries laid out in first-touch order.
  */
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "aerodrome/aerodrome_basic.hpp" // for AeroDromeStats
 #include "analysis/checker.hpp"
 #include "analysis/thread_slots.hpp"
 #include "analysis/txn_tracker.hpp"
+#include "support/inline.hpp"
 #include "trace/trace.hpp"
 #include "vc/adaptive_clock.hpp"
 #include "vc/clock_bank.hpp"
@@ -144,7 +151,7 @@ private:
     }
 
     /** Row for external tid `ext` under gc (allocating reuse-first). */
-    uint32_t
+    AERO_ALWAYS_INLINE uint32_t
     slot_of(ThreadId ext)
     {
         bool fresh = false;
@@ -157,13 +164,34 @@ private:
 
     /** checkAndGet where both the check and the join use table entry
      *  `slot` (locks, W_x). */
-    bool check_and_get_entry(size_t slot, ThreadId t, size_t index,
-                             const char* reason);
+    AERO_ALWAYS_INLINE bool
+    check_and_get_entry(size_t slot, ThreadId t, size_t index,
+                        const char* reason)
+    {
+        return check_and_get_entry2(slot, slot, t, index, reason);
+    }
 
     /** checkAndGet checking `check_slot` but joining `join_slot` (the
      *  hR_x / R_x pair at writes). */
-    bool check_and_get_entry2(size_t check_slot, size_t join_slot,
-                              ThreadId t, size_t index, const char* reason);
+    AERO_ALWAYS_INLINE bool
+    check_and_get_entry2(size_t check_slot, size_t join_slot, ThreadId t,
+                         size_t index, const char* reason)
+    {
+        ++stats_.comparisons;
+        // Bottom passes every check: an active t's begin component is
+        // at least 1.
+        if (!tbl_.is_bottom_epoch(check_slot) && txns_.active(t) &&
+            begin_before(t, tbl_.get(check_slot, t)))
+            return fail(index, t, reason);
+        ++stats_.joins;
+        if (tbl_.join_into(c_[t], join_slot, t, c_pure_[t]))
+            recv_[t] = 1;
+        return false;
+    }
+
+    /** Report a violation charged to row t (out of line: the cold end of
+     *  every inlined check). */
+    bool fail(size_t index, ThreadId t, const char* reason);
 
     /** checkAndGet against the clock of thread `src` (pure iff src_pure). */
     bool check_and_get_clock(ConstClockRef clk, ThreadId src, bool src_pure,
@@ -178,100 +206,180 @@ private:
     /** Algorithm 3's hasIncomingEdge(t), evaluated at t's end event. */
     bool has_incoming_edge(ThreadId t) const;
 
-    /** Per-variable state of the paper's Algorithm 3 for one touched
-     *  variable x. Trivially copyable, so the record array relocates
+    /** The state of one touched variable x or lock l; record r owns
+     *  table entries 3r (W_x or L_l), 3r+1 (R_x) and 3r+2 (hR_x). A lock
+     *  record uses only `owner`: its stale_write stays 0 and its reader
+     *  set empty, so an end sweep treats L_l exactly like a W_x with no
+     *  pending write. Trivially copyable, so the record array relocates
      *  with a plain copy. */
-    struct VarState {
-        /** Last writer of x, as an owner word of tags_. */
-        uint64_t last_w;
-        /** W_x's table entry; R_x is base + 1, hR_x is base + 2. */
-        uint32_t base;
+    struct Record {
+        /** Var: last writer of x, as an owner word of tags_. Lock: last
+         *  releaser of l, as that thread's rel_owner_ word then; an
+         *  acquire by a thread whose word still matches skips its
+         *  check. */
+        uint64_t owner;
         /** kNoSpill while staleReaders_x fits in `readers`; else the
          *  index of its list in spill_, which then holds the whole set
          *  (and stays x's for the rest of the run). */
         uint32_t spill;
         /** staleWrite_x: W_x lags behind the last write, whose timestamp
-         *  is the live clock of the row last_w names (within that
+         *  is the live clock of the row `owner` names (within that
          *  thread's still-active transaction). */
         uint8_t stale_write;
         /** Live prefix of `readers` while spill == kNoSpill. */
         uint8_t n_readers;
+        /** 1 iff this is a lock's record (entries 3r+1, 3r+2 unused). */
+        uint8_t lock;
         /** staleReaders_x: threads whose last read of x is not yet in
          *  R_x, in insertion order. */
         ThreadId readers[3];
     };
-    static_assert(sizeof(VarState) == 32, "two records per cache line");
+    static_assert(sizeof(Record) == 32, "two records per cache line");
     static constexpr uint32_t kNoSpill = UINT32_MAX;
     static constexpr uint32_t kUntouched = UINT32_MAX;
 
-    /** Dense index of x, giving x a fresh record (and its three table
-     *  entries) on first touch. */
+    /** Record index of variable x / lock l, giving it a fresh record
+     *  (and its three table entries) on first touch. */
     uint32_t
     var_index(VarId x)
     {
         if (x < var_idx_.size() && var_idx_[x] != kUntouched)
             return var_idx_[x];
-        return touch_var(x);
+        return touch(var_idx_, x, false);
     }
-    uint32_t touch_var(VarId x);
+    uint32_t
+    lock_index(LockId l)
+    {
+        if (l < lock_idx_.size() && lock_idx_[l] != kUntouched)
+            return lock_idx_[l];
+        return touch(lock_idx_, l, true);
+    }
+    uint32_t touch(std::vector<uint32_t>& idx, uint32_t id, bool lock);
+
+    /** Record r's first table entry (W_x or L_l). */
+    static size_t base_of(uint32_t r) { return size_t{3} * r; }
 
     /** staleReaders_x of record v as a [first, last) range. */
     ThreadId*
-    readers_begin(VarState& v)
+    readers_begin(Record& v)
     {
         return v.spill == kNoSpill ? v.readers : spill_[v.spill].data();
     }
     ThreadId*
-    readers_end(VarState& v)
+    readers_end(Record& v)
     {
         return v.spill == kNoSpill ? v.readers + v.n_readers
                                    : spill_[v.spill].data() +
                                          spill_[v.spill].size();
     }
-    void add_stale_reader(VarState& v, ThreadId t);
+
+    AERO_ALWAYS_INLINE void
+    add_stale_reader(Record& v, ThreadId t)
+    {
+        if (v.spill == kNoSpill) {
+            for (uint8_t k = 0; k < v.n_readers; ++k) {
+                if (v.readers[k] == t)
+                    return;
+            }
+            if (v.n_readers < std::size(v.readers)) {
+                v.readers[v.n_readers++] = t;
+                return;
+            }
+        }
+        add_stale_reader_spilled(v, t);
+    }
+    /** add_stale_reader once the set is (or is about to be) spilled. */
+    void add_stale_reader_spilled(Record& v, ThreadId t);
+
     /** Remove t from staleReaders_x; false iff t was not in it. */
-    bool drop_stale_reader(VarState& v, ThreadId t);
+    AERO_ALWAYS_INLINE bool
+    drop_stale_reader(Record& v, ThreadId t)
+    {
+        if (v.spill != kNoSpill)
+            return drop_spilled_reader(v, t);
+        for (uint8_t k = 0; k < v.n_readers; ++k) {
+            if (v.readers[k] == t) {
+                for (--v.n_readers; k < v.n_readers; ++k)
+                    v.readers[k] = v.readers[k + 1];
+                return true;
+            }
+        }
+        return false;
+    }
+    bool drop_spilled_reader(Record& v, ThreadId t);
 
-    /** Flush staleReaders_x into R_x / hR_x (before a write's checks). */
-    void flush_stale_readers(VarState& v);
+    /** Flush staleReaders_x of record r into R_x / hR_x (before a
+     *  write's checks). */
+    AERO_ALWAYS_INLINE void
+    flush_stale_readers(uint32_t r)
+    {
+        Record& v = recs_[r];
+        if (v.spill == kNoSpill && v.n_readers == 0)
+            return; // nothing to flush (and no byte store to alias)
+        const size_t base = base_of(r);
+        for (ThreadId *u = readers_begin(v), *e = readers_end(v); u != e;
+             ++u) {
+            stats_.joins += 2;
+            const bool pure = pure_of(*u);
+            tbl_.join(base + 1, c_[*u], *u, pure);        // R_x
+            tbl_.join_except(base + 2, c_[*u], *u, pure); // hR_x
+        }
+        if (v.spill != kNoSpill)
+            spill_[v.spill].clear();
+        v.n_readers = 0;
+    }
 
-    void ensure_thread(ThreadId t);
-    void ensure_lock(LockId l);
+    AERO_ALWAYS_INLINE void
+    ensure_thread(ThreadId t)
+    {
+        if (t >= c_.rows())
+            add_threads(size_t{t} + 1);
+    }
+    /** Grow every per-thread structure to n rows. */
+    void add_threads(size_t n);
     void grow_dim(size_t n);
 
     bool handle_end(ThreadId t, size_t index);
 
-    /** Sweep t's update window at its end: settle t's own stale accesses
-     *  and, iff `propagate`, join C_t into every entry whose gate fires. */
-    void sweep_update_window(ThreadId t, bool propagate);
+    /** Visit every entry of t's update window once (every used entry of
+     *  the table when t's window is untracked), then close the window.
+     *  The window is sealed first, so joins made by `visit` enroll only
+     *  into other threads' windows. */
+    template <class Visit> void drain_update_window(ThreadId t, Visit visit);
+
+    /** Propagating end: settle t's own stale accesses and join C_t into
+     *  every window entry whose gate fires. */
+    void sweep_update_window(ThreadId t);
+
+    /** Skipped end: only settle t's own lazy W_x / R_x facts — no gate,
+     *  no join. */
+    void settle_own_stale(ThreadId t);
 
     TxnTracker txns_;
 
     ClockBank c_;  // one row per thread
     ClockBank cb_; // one row per thread
 
-    /** L_l, W_x, R_x, hR_x — one adaptive table; var x occupies entries
-     *  vars_[var_idx_[x]].base + {0: W, 1: R, 2: hR}, allocated at x's
-     *  first touch. Entries come only from ensure_lock (one) and
-     *  touch_var (a triple), in increasing order, so the lock entries
-     *  below an entry fix its variable and role. */
+    /** L_l, W_x, R_x, hR_x — one adaptive table, three entries per
+     *  record (see Record), appended at the record's first touch. */
     AdaptiveClockTable tbl_;
-    std::vector<uint32_t> lock_slot_; // LockId -> entry, increasing
 
-    /** VarId -> dense index into vars_ (kUntouched before first touch). */
+    /** VarId / LockId -> record index (kUntouched before first touch). */
     std::vector<uint32_t> var_idx_;
-    /** One record per touched variable, in first-touch order. */
-    std::vector<VarState> vars_;
+    std::vector<uint32_t> lock_idx_;
+    /** One record per touched variable or lock, in first-touch order. */
+    std::vector<Record> recs_;
     /** Stale-reader sets that outgrew their record's inline slots. */
     std::vector<std::vector<ThreadId>> spill_;
 
     /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
     std::vector<uint8_t> c_pure_;
+    /** recv_[t] == 0 only if no component of C_t other than t grew since
+     *  t's last outermost begin; sound but conservative (a vector join
+     *  sets it whatever it changed). */
+    std::vector<uint8_t> recv_;
     bool epochs_ = true;
 
-    /** Last releaser of l, as that thread's rel_owner_ word then. An
-     *  acquire by a thread whose word still matches skips its check. */
-    std::vector<uint64_t> last_rel_;
     /** Release owner word per row, unique among all words ever issued:
      *  reissued when the row's end skips propagation and when the row is
      *  retired, so every lock fact the row left behind stops matching in

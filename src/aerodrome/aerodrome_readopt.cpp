@@ -175,16 +175,12 @@ AeroDromeReadOpt::handle_end(ThreadId t, size_t index)
             break; // handled with its R_x partner at i - 1
         }
     };
-    tbl_.seal_update_window(t);
-    if (tbl_.update_window_tracked(t)) {
-        for (uint32_t i : tbl_.update_entries(t))
-            sweep(i);
-    } else {
+    if (!tbl_.drain_update_window(t, sweep)) {
         const size_t n = tbl_.size();
         for (size_t i = 0; i < n; ++i)
             sweep(i);
+        tbl_.close_update_window(t);
     }
-    tbl_.close_update_window(t);
     return false;
 }
 

@@ -80,8 +80,11 @@ run_checker(AtomicityChecker& checker, const Trace& trace,
 
     PanicContextScope panic_scope;
     try {
+        // Poll every check_interval events, starting with the first.
+        size_t next_poll = 0;
         for (size_t i = 0; i < events.size(); ++i) {
-            if ((i % budget.check_interval) == 0) {
+            if (i == next_poll) {
+                next_poll = i + budget.check_interval;
                 if (limited &&
                     watch.elapsed_seconds() > budget.max_seconds) {
                     result.timed_out = true;

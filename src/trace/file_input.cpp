@@ -88,21 +88,20 @@ FileInput::Buf::underflow()
 std::streamsize
 FileInput::Buf::xsgetn(char* s, std::streamsize n)
 {
-    // Drain what a peek or underflow left buffered, then read the rest
-    // straight into the caller's buffer (the binary window reads 256 KiB
-    // at a time; a detour through `win` would copy every byte twice).
-    std::streamsize done = std::min<std::streamsize>(n, egptr() - gptr());
-    if (done > 0) {
+    // Hand over what a peek or underflow left buffered; only when nothing
+    // is, read once straight into the caller's buffer (the binary window
+    // reads 256 KiB at a time; a detour through `win` would copy every
+    // byte twice). One read(2) at most: on a pipe it returns what the
+    // writer has sent so far instead of waiting for n bytes.
+    const std::streamsize buffered = egptr() - gptr();
+    if (buffered > 0) {
+        const std::streamsize done = std::min(n, buffered);
         std::memcpy(s, gptr(), static_cast<size_t>(done));
         gbump(static_cast<int>(done));
+        return done;
     }
-    while (done < n) {
-        const size_t got = read_some(s + done, static_cast<size_t>(n - done));
-        if (got == 0)
-            break;
-        done += static_cast<std::streamsize>(got);
-    }
-    return done;
+    return static_cast<std::streamsize>(
+        read_some(s, static_cast<size_t>(n)));
 }
 
 } // namespace aero

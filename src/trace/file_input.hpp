@@ -13,6 +13,12 @@
  *
  * A read error (EIO, or a directory given as the trace) is fatal: it
  * must not pass for the end of a trace that then checks clean.
+ *
+ * rdbuf()->sgetn() returns after at most one read(2), so on a pipe it
+ * can return fewer bytes than asked before the end of input; only 0
+ * means the end. (std::istream::read would take such a short count for
+ * the end, so block readers call sgetn, as MappedBinaryEventSource's
+ * buffered window does.)
  */
 
 #include <cstdint>
@@ -58,6 +64,8 @@ private:
         /** read(2), retried on EINTR. @return 0 at end of input; fatal
          *  on a read error. */
         size_t read_some(char* dst, size_t n);
+        /** Buffered bytes, else one read_some: short before the end of
+         *  input, 0 only at it. */
         std::streamsize xsgetn(char* s, std::streamsize n) override;
     };
 

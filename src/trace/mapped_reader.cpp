@@ -121,12 +121,14 @@ MappedBinaryEventSource::refill()
         pos_ = 0;
         avail_ = tail;
     }
+    // Take what the source has now: on a pipe sgetn can come back short
+    // (FileInput reads once), and only 0 bytes means the end of input.
     const size_t want = buf_.size() - avail_;
-    in_->read(reinterpret_cast<char*>(buf_.data() + avail_),
-              static_cast<std::streamsize>(want));
-    const size_t got = static_cast<size_t>(in_->gcount());
+    const size_t got = static_cast<size_t>(in_->rdbuf()->sgetn(
+        reinterpret_cast<char*>(buf_.data() + avail_),
+        static_cast<std::streamsize>(want)));
     avail_ += got;
-    if (got < want)
+    if (got == 0)
         src_eof_ = true;
     data_ = buf_.data();
     clean_end_ = pos_; // window moved: re-scan lazily
@@ -302,8 +304,13 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
     while (k < n) {
         if (produced_ >= expected_ || done_)
             break;
-        if (!mapped_ && !src_eof_ && avail_ - pos_ < kMaxRecordBytes + 5)
+        if (!mapped_ && !src_eof_ && avail_ == pos_) {
+            // Hand over what is decoded before waiting on the input: a
+            // pipe's writer may not send more until it sees a verdict.
+            if (k > 0)
+                break;
             refill();
+        }
         if (avail_ == pos_) {
             // Bytes ran out before the header's promised event count.
             if (k > 0 && !resync_)
@@ -431,6 +438,11 @@ MappedBinaryEventSource::decode_block(Event* out, size_t n)
             gap_open_ = false;
             break;
           case Rec::kShort:
+            if (!mapped_ && !src_eof_) {
+                refill(); // the window cut the record: fetch the rest
+                break;
+            }
+            [[fallthrough]];
           case Rec::kBad:
             if (!resync_) {
                 if (k > 0)

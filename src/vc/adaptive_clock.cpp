@@ -25,6 +25,19 @@ AdaptiveClockTable::inflate(size_t i, bool copy_contents)
     return row;
 }
 
+bool
+AdaptiveClockTable::join_row_into(ClockRef dst, uint64_t bits,
+                                   uint8_t& dst_pure)
+{
+    ConstClockRef row = arena_[bits & ~kInflatedTag];
+    ++stats_.vector_ops;
+    if (dst_pure && row.is_bottom())
+        return false;
+    dst.join(row);
+    dst_pure = 0;
+    return true;
+}
+
 void
 AdaptiveClockTable::assign_slow(size_t i, ConstClockRef c, ThreadId t,
                                 bool c_pure)

@@ -70,9 +70,10 @@ struct AdaptiveClockStats {
  * Join `src` (the clock of thread `src_thread`, pure iff `src_pure`) into
  * `dst` (the clock of thread `dst_thread`), maintaining dst's purity flag.
  * This is the engines' C_t := C_t |_| clk step with the O(1) pure-source
- * fast path.
+ * fast path. Returns false only if no component of dst other than
+ * dst_thread changed (conservative: a vector join returns true).
  */
-inline void
+inline bool
 join_qualified(ClockRef dst, ThreadId dst_thread, uint8_t& dst_pure,
                ConstClockRef src, ThreadId src_thread, bool src_pure)
 {
@@ -81,17 +82,20 @@ join_qualified(ClockRef dst, ThreadId dst_thread, uint8_t& dst_pure,
         ClockValue v = src.get(src_thread);
         if (v > dst.get(src_thread)) {
             dst.set(src_thread, v);
-            if (src_thread != dst_thread)
+            if (src_thread != dst_thread) {
                 dst_pure = 0;
+                return true;
+            }
         }
-        return;
+        return false;
     }
     if (dst.data() == src.data())
-        return; // self-join is the identity
+        return false; // self-join is the identity
     if (dst_pure && src.is_bottom())
-        return; // joining bottom preserves purity
+        return false; // joining bottom preserves purity
     dst.join(src);
     dst_pure = 0; // conservative: src may have foreign components
+    return true;
 }
 
 /** A family of epoch-adaptive clocks sharing one inflation arena. */
@@ -173,11 +177,13 @@ public:
         if (t >= upd_.size()) {
             upd_.resize(t + 1);
             upd_gate_.resize(t + 1, 0);
+            upd_tracked_.resize(t + 1, 0);
         }
-        close_update_window(t);
+        if (upd_tracked_[t])
+            close_update_window(t); // an end that reported left it open
         if (gate == 0)
             return;
-        upd_[t].tracked = 1;
+        upd_tracked_[t] = 1;
         upd_gate_[t] = gate;
         open_windows_.push_back(t);
     }
@@ -200,6 +206,30 @@ public:
         }
     }
 
+    /**
+     * t's end sweep over its window: seal it, call visit(i) once per
+     * enrolled entry (clearing the entry's membership bit on the way),
+     * and close it. Returns false, visiting nothing, when the window is
+     * untracked; the caller then sweeps the whole table and closes the
+     * window itself.
+     */
+    template <class Visit>
+    bool
+    drain_update_window(ThreadId t, Visit&& visit)
+    {
+        seal_update_window(t);
+        if (!update_window_tracked(t))
+            return false;
+        UpdWindow& w = upd_[t];
+        for (uint32_t i : w.list) {
+            w.member[i >> 6] = 0;
+            visit(i);
+        }
+        w.list.clear();
+        upd_tracked_[t] = 0;
+        return true;
+    }
+
     /** Drop t's window entirely (after its end sweep, or when t's slot
      *  is retired). */
     void
@@ -212,7 +242,7 @@ public:
         for (uint32_t i : w.list)
             w.member[i >> 6] = 0;
         w.list.clear();
-        w.tracked = 0;
+        upd_tracked_[t] = 0;
     }
 
     /** Enroll entry i into t's window directly, if it is open. For an
@@ -231,8 +261,12 @@ public:
     bool
     update_window_tracked(ThreadId t) const
     {
-        return upd_sets_ && t < upd_.size() && upd_[t].tracked != 0;
+        return upd_sets_ && t < upd_.size() && upd_tracked_[t] != 0;
     }
+
+    /** The threads whose window is open (every thread with an active
+     *  transaction whose end sweep has not begun). Unordered. */
+    const std::vector<uint32_t>& open_windows() const { return open_windows_; }
 
     /** The entries enrolled in t's window (valid while sealed, until
      *  close_update_window). Unordered; duplicates never occur. Callers
@@ -243,6 +277,10 @@ public:
         assert(update_window_tracked(t));
         return upd_[t].list;
     }
+
+    /** True iff entry i is the bottom epoch (O(1); an inflated row that
+     *  is all zero reports false). */
+    bool is_bottom_epoch(size_t i) const { return entries_[i] == 0; }
 
     bool
     is_inflated(size_t i) const
@@ -347,29 +385,27 @@ public:
     }
 
     /** dst := dst |_| entry_i, maintaining dst's purity flag (dst is the
-     *  clock of dst_thread). The engines' C_t |_|= W_x / R_x step. */
-    void
+     *  clock of dst_thread). The engines' C_t |_|= W_x / R_x step.
+     *  Returns false only if no component of dst other than dst_thread
+     *  changed (conservative: an inflated entry returns true). */
+    bool
     join_into(ClockRef dst, size_t i, ThreadId dst_thread, uint8_t& dst_pure)
     {
         uint64_t bits = entries_[i];
-        if (!(bits & kInflatedTag)) {
-            Epoch e = Epoch::from_bits(bits);
-            if (e.is_bottom())
-                return; // joining bottom: no work, no accounting
-            if (e.value() > dst.get(e.thread())) {
-                dst.set(e.thread(), e.value());
-                if (e.thread() != dst_thread)
-                    dst_pure = 0;
+        if (bits & kInflatedTag)
+            return join_row_into(dst, bits, dst_pure);
+        Epoch e = Epoch::from_bits(bits);
+        if (e.is_bottom())
+            return false; // joining bottom: no work, no accounting
+        ++stats_.epoch_fast;
+        if (e.value() > dst.get(e.thread())) {
+            dst.set(e.thread(), e.value());
+            if (e.thread() != dst_thread) {
+                dst_pure = 0;
+                return true;
             }
-            ++stats_.epoch_fast;
-            return;
         }
-        ConstClockRef row = arena_[bits & ~kInflatedTag];
-        ++stats_.vector_ops;
-        if (dst_pure && row.is_bottom())
-            return;
-        dst.join(row);
-        dst_pure = 0;
+        return false;
     }
 
     /**
@@ -496,6 +532,7 @@ public:
         size_t n = entries_.capacity() * sizeof(uint64_t) +
                    arena_.memory_bytes() +
                    upd_gate_.capacity() * sizeof(ClockValue) +
+                   upd_tracked_.capacity() +
                    open_windows_.capacity() * sizeof(uint32_t) +
                    free_rows_.capacity() * sizeof(size_t) +
                    free_entries_.capacity() * sizeof(uint32_t);
@@ -514,7 +551,6 @@ private:
     struct UpdWindow {
         std::vector<uint32_t> list;
         std::vector<uint64_t> member;
-        uint8_t tracked = 0;
     };
 
     /**
@@ -568,6 +604,8 @@ private:
      *  epoch's contents iff copy_contents. */
     ClockRef inflate(size_t i, bool copy_contents);
 
+    /** join_into's inflated-entry half (`bits` names an arena row). */
+    bool join_row_into(ClockRef dst, uint64_t bits, uint8_t& dst_pure);
     void assign_slow(size_t i, ConstClockRef c, ThreadId t, bool c_pure);
     void join_slow(size_t i, ConstClockRef c, ThreadId t, bool c_pure);
     void join_except_slow(size_t i, ConstClockRef c, ThreadId t);
@@ -584,9 +622,11 @@ private:
     bool epochs_ = true;
     bool upd_sets_ = true;
     /** Window per thread; upd_gate_[t] != 0 iff t's window is open (still
-     *  enrolling); open_windows_ lists exactly those threads. */
+     *  enrolling); open_windows_ lists exactly those threads.
+     *  upd_tracked_[t] != 0 from the window's open to its close. */
     std::vector<UpdWindow> upd_;
     std::vector<ClockValue> upd_gate_;
+    std::vector<uint8_t> upd_tracked_;
     std::vector<uint32_t> open_windows_;
     AdaptiveClockStats stats_;
 };

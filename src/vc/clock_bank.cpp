@@ -2,6 +2,9 @@
 
 #include <new>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #ifdef AERO_VC_X86_DISPATCH
 #include <immintrin.h>
 #endif
@@ -83,10 +86,32 @@ alloc_aligned(size_t values)
         values * sizeof(ClockValue), std::align_val_t(kAlignment)));
 }
 
-void
-free_aligned(ClockValue* p)
+/** A zero-filled anonymous mapping of `bytes` (a page multiple). */
+ClockValue*
+map_zeroed(size_t bytes)
 {
-    ::operator delete(p, std::align_val_t(kAlignment));
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<ClockValue*>(p);
+}
+
+/** Free rows allocated by map_zeroed (map_bytes != 0) or alloc_aligned. */
+void
+free_rows(ClockValue* p, size_t map_bytes)
+{
+    if (map_bytes != 0)
+        ::munmap(p, map_bytes);
+    else
+        ::operator delete(p, std::align_val_t(kAlignment));
+}
+
+size_t
+round_to_page(size_t bytes)
+{
+    static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    return (bytes + page - 1) / page * page;
 }
 
 size_t
@@ -116,22 +141,45 @@ stride_for(size_t d, size_t cur)
 void
 ClockBank::release()
 {
-    free_aligned(data_);
+    free_rows(data_, map_bytes_);
     data_ = nullptr;
-    rows_ = row_cap_ = dim_ = stride_ = 0;
+    rows_ = row_cap_ = dim_ = stride_ = map_bytes_ = 0;
 }
 
 void
 ClockBank::relayout(size_t new_row_cap, size_t new_stride)
 {
-    ClockValue* fresh = alloc_aligned(new_row_cap * new_stride);
-    std::memset(fresh, 0, new_row_cap * new_stride * sizeof(ClockValue));
+    const size_t bytes = new_row_cap * new_stride * sizeof(ClockValue);
+#ifdef MREMAP_MAYMOVE
+    if (map_bytes_ != 0 && new_stride == stride_) {
+        // Same layout, more rows: move the page tables, not the rows. The
+        // pages past the old end arrive zero on first touch.
+        const size_t len = round_to_page(bytes);
+        void* p = ::mremap(data_, map_bytes_, len, MREMAP_MAYMOVE);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        data_ = static_cast<ClockValue*>(p);
+        map_bytes_ = len;
+        row_cap_ = new_row_cap;
+        return;
+    }
+#endif
+    ClockValue* fresh;
+    size_t fresh_map = 0;
+    if (bytes >= kMapBytes) {
+        fresh_map = round_to_page(bytes);
+        fresh = map_zeroed(fresh_map);
+    } else {
+        fresh = alloc_aligned(new_row_cap * new_stride);
+        std::memset(fresh, 0, bytes);
+    }
     for (size_t i = 0; i < rows_; ++i) {
         std::memcpy(fresh + i * new_stride, data_ + i * stride_,
                     dim_ * sizeof(ClockValue));
     }
-    free_aligned(data_);
+    free_rows(data_, map_bytes_);
     data_ = fresh;
+    map_bytes_ = fresh_map;
     row_cap_ = new_row_cap;
     stride_ = new_stride;
 }
@@ -150,7 +198,8 @@ ClockBank::ensure_rows(size_t n)
         relayout(new_cap, stride_);
     }
     // Rows rows_..n are already zero (relayout and first allocation zero
-    // the whole arena, and clear() keeps retired rows at bottom).
+    // the whole arena or map it zero, and clear() keeps retired rows at
+    // bottom).
     rows_ = n;
 }
 

@@ -279,6 +279,13 @@ private:
  * per-row stride at least doubles (4 -> 8 -> 16 components, then whole
  * lines) when the dimension outgrows it, triggering a single re-layout
  * copy. Padding components (dim..stride) are zero at all times.
+ *
+ * A bank of kMapBytes or more is page-backed (an anonymous mapping)
+ * instead of heap-backed: its rows start zero without a memset, so only
+ * the pages rows are written to count against the resident set, and a
+ * row-capacity doubling at an unchanged stride grows the mapping in
+ * place (mremap) with neither a row copy nor a zero fill. A stride
+ * change still re-lays the rows out into a fresh mapping.
  */
 class ClockBank {
 public:
@@ -287,6 +294,8 @@ public:
     static constexpr size_t kLineValues = 64 / sizeof(ClockValue);
     /** The narrowest stride (16 bytes: four rows per line). */
     static constexpr size_t kMinStride = 4;
+    /** Capacity, in bytes, from which a bank is page-backed. */
+    static constexpr size_t kMapBytes = size_t{256} * 1024;
 
     ClockBank() = default;
 
@@ -348,6 +357,9 @@ public:
     /** Raw base pointer (benchmarks, tests). */
     const ClockValue* data() const { return data_; }
 
+    /** True iff the rows live in an anonymous mapping (tests). */
+    bool page_backed() const { return map_bytes_ != 0; }
+
 private:
     void release();
 
@@ -359,9 +371,10 @@ private:
         std::swap(row_cap_, other.row_cap_);
         std::swap(dim_, other.dim_);
         std::swap(stride_, other.stride_);
+        std::swap(map_bytes_, other.map_bytes_);
     }
 
-    /** Re-allocate to (row_cap, stride), copying live rows and zeroing
+    /** Re-allocate to (row_cap, stride), keeping live rows and zeroing
      *  everything else. */
     void relayout(size_t new_row_cap, size_t new_stride);
 
@@ -370,6 +383,7 @@ private:
     size_t row_cap_ = 0; ///< allocated rows
     size_t dim_ = 0;     ///< live components per row
     size_t stride_ = 0;  ///< allocated components per row (4, 8, 16k)
+    size_t map_bytes_ = 0; ///< mapping length if page-backed, else 0
 };
 
 } // namespace aero

@@ -220,8 +220,128 @@ TEST_P(EngineLockstep, SixtyFourThreadNaiveSpec)
     expect_lockstep(gen::make_naive_spec(opts));
 }
 
+/** Locks first touched between variables: philosopher p's second fork
+ *  is a lock no one took before, after plates (variables) already were.
+ *  Opt keeps locks and variables in one first-touch record array, so its
+ *  sweeps must decode an entry's role without assuming locks come
+ *  first. Odd seeds append a ring, so both verdicts are covered. */
+TEST_P(EngineLockstep, LocksFirstTouchedBetweenVariables)
+{
+    const uint32_t philosophers = 2 + GetParam() % 7;
+    Trace trace = gen::make_philosophers(philosophers, 3 + GetParam() % 5);
+    if (GetParam() % 2 == 1)
+        gen::append_ring(trace, 2 + GetParam() % 3, 0, philosophers);
+    expect_lockstep(trace);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineLockstep,
                          ::testing::Range<uint64_t>(1, 200));
+
+// --- hasIncomingEdge soundness ---------------------------------------------
+//
+// Opt's end skips the propagation when hasIncomingEdge is false. The test
+// is cut short for a pure C_t, walks only the open transactions, and
+// compares C_t with C_t^b only when a join may have added a foreign
+// component since the begin. Each trace below needs one of those
+// shortcuts to answer true: a wrong false skips the propagation that
+// carries the cycle, and the violation goes unreported.
+
+/** Opt's verdict and counters on `trace`, after lockstep agreement with
+ *  the basic engine (which has no hasIncomingEdge). */
+RunResult
+checked_opt_run(const Trace& trace)
+{
+    expect_lockstep(trace);
+    AeroDromeOpt opt(trace.num_threads(), trace.num_vars(),
+                     trace.num_locks());
+    return run_checker(opt, trace);
+}
+
+uint64_t
+counter(const RunResult& r, const char* name)
+{
+    for (const auto& [key, value] : r.counters) {
+        if (key == name)
+            return value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return 0;
+}
+
+TEST(HasIncomingEdge, ChildOfAnOpenTransactionPropagates)
+{
+    // t1 is forked inside t0's open transaction and receives nothing
+    // during its own transaction (its C_1 == C_1^b), yet its write must
+    // reach W_x: "parentTr is alive". t0 then reads x: the fork edge
+    // and the write-read edge close a cycle.
+    Trace t;
+    t.begin(0);
+    t.fork(0, 1);
+    t.begin(1);
+    t.write(1, 0);
+    t.end(1);
+    t.read(0, 0);
+    t.end(0);
+    const RunResult r = checked_opt_run(t);
+    ASSERT_TRUE(r.violation);
+    EXPECT_EQ(r.details->event_index, 5u);
+    EXPECT_EQ(counter(r, "propagated_ends"), 1u);
+    EXPECT_EQ(counter(r, "gc_skipped_ends"), 0u);
+}
+
+TEST(HasIncomingEdge, AcquireMidTransactionMakesTheEndPropagate)
+{
+    // t0's C is pure at its begin and turns impure at the acquire of a
+    // lock t1 released inside t1's still-open transaction. Only the
+    // C_t vs C_t^b test sees that ordering (t1's begin is not in C_0^b),
+    // so the join at the acquire must mark C_0 as having received one.
+    Trace t;
+    t.begin(1);
+    t.acquire(1, 0);
+    t.release(1, 0);
+    t.begin(0);
+    t.acquire(0, 0);
+    t.write(0, 0);
+    t.release(0, 0);
+    t.end(0);
+    t.read(1, 0);
+    t.end(1);
+    const RunResult r = checked_opt_run(t);
+    ASSERT_TRUE(r.violation);
+    EXPECT_EQ(r.details->event_index, 8u);
+    EXPECT_EQ(counter(r, "propagated_ends"), 1u);
+}
+
+TEST(HasIncomingEdge, SerializableTwinsSkipTheirEnds)
+{
+    // The same shapes without the closing access are serializable, and
+    // every end whose transaction received nothing skips.
+    Trace fork;
+    fork.begin(0);
+    fork.fork(0, 1);
+    fork.end(0);
+    fork.begin(1);
+    fork.write(1, 0);
+    fork.end(1);
+    const RunResult a = checked_opt_run(fork);
+    EXPECT_FALSE(a.violation);
+    EXPECT_EQ(counter(a, "gc_skipped_ends"), 2u);
+
+    Trace lock;
+    lock.begin(1);
+    lock.acquire(1, 0);
+    lock.release(1, 0);
+    lock.end(1);
+    lock.begin(0);
+    lock.acquire(0, 0);
+    lock.write(0, 0);
+    lock.release(0, 0);
+    lock.end(0);
+    const RunResult b = checked_opt_run(lock);
+    EXPECT_FALSE(b.violation);
+    EXPECT_EQ(counter(b, "gc_skipped_ends"), 1u);
+    EXPECT_EQ(counter(b, "propagated_ends"), 1u);
+}
 
 /**
  * Epoch-representation parity: every engine with the epoch-adaptive

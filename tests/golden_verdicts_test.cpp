@@ -27,6 +27,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aerodrome/aerodrome_basic.hpp"
@@ -301,6 +302,16 @@ TEST(GoldenVerdicts, VerdictsAreInvariantUnderVariableRenaming)
         star.violation_at_end = ring;
         inputs.push_back({ring ? "star(ring)" : "star",
                           gen::make_star(star)});
+    }
+    // Locks first touched between variables (philosopher p's second
+    // fork comes after earlier plates): opt's one first-touch record
+    // array must not leak lock placement into what it reports.
+    for (bool ring : {false, true}) {
+        Trace t = gen::make_philosophers(5, 6);
+        if (ring)
+            gen::append_ring(t, 3, 0, 5);
+        inputs.push_back({ring ? "philosophers(ring)" : "philosophers",
+                          std::move(t)});
     }
 
     Rng rng(0x5eedULL);

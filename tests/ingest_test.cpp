@@ -26,10 +26,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -613,6 +616,116 @@ TEST(PipedInput, FifoBinaryTraceMatchesFileRun)
     // Several window refills' worth of records through the pipe.
     expect_fifo_matches_file(serialize(wide_id_trace(40000)),
                              "aero_piped.bin", "binary-buffered");
+}
+
+/** A FIFO whose writer sends `bytes` and then keeps the pipe open until
+ *  release() — or until a watchdog gives up and closes it, so a reader
+ *  that waits for the end of input still finishes and the test reports
+ *  the wait instead of hanging. */
+class HeldPipe {
+public:
+    HeldPipe(const HeldPipe&) = delete;
+    HeldPipe& operator=(const HeldPipe&) = delete;
+
+    HeldPipe(const std::string& bytes, const char* tag)
+    {
+        std::signal(SIGPIPE, SIG_IGN);
+        path = ::testing::TempDir() + "aero_held_" + tag + "_" +
+               std::to_string(::getpid());
+        ::unlink(path.c_str());
+        if (::mkfifo(path.c_str(), 0600) != 0)
+            ADD_FAILURE() << "mkfifo " << path;
+        writer_ = std::thread([this, bytes] {
+            const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+            for (size_t off = 0; fd >= 0 && off < bytes.size();) {
+                const ssize_t n =
+                    ::write(fd, bytes.data() + off, bytes.size() - off);
+                if (n <= 0)
+                    break;
+                off += static_cast<size_t>(n);
+            }
+            sent_ = true;
+            std::unique_lock<std::mutex> lock(mu_);
+            if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                              [this] { return released_; }))
+                watchdog_fired_ = true;
+            lock.unlock();
+            if (fd >= 0)
+                ::close(fd);
+        });
+    }
+
+    /** Let the writer close its end. @return true iff the watchdog had
+     *  to close it first (the reader waited for the end of input). */
+    bool
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            released_ = true;
+        }
+        cv_.notify_all();
+        if (writer_.joinable()) {
+            // A reader that stopped early must not leave the writer
+            // blocked in open() or write(): drain what is left.
+            const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+            char sink[4096];
+            while (!sent_) {
+                if (fd < 0 || ::read(fd, sink, sizeof(sink)) <= 0)
+                    std::this_thread::yield();
+            }
+            writer_.join();
+            if (fd >= 0)
+                ::close(fd);
+        }
+        return watchdog_fired_;
+    }
+
+    ~HeldPipe()
+    {
+        release();
+        ::unlink(path.c_str());
+    }
+
+    std::string path;
+
+private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool released_ = false;
+    bool watchdog_fired_ = false;
+    std::atomic<bool> sent_{false};
+    std::thread writer_; // last: it uses the members above
+};
+
+TEST(PipedInput, OpenPipeBinaryTraceReturnsBeforeEndOfInput)
+{
+    // A writer that keeps the pipe open after the last record: the
+    // header's event count, not the end of input, ends the run. Once
+    // with a trace shorter than one read and once with several reads.
+    Trace tiny;
+    tiny.begin(0);
+    tiny.write(0, 0);
+    tiny.end(0);
+    for (const Trace& t : {tiny, wide_id_trace(40000)}) {
+        const std::string image = serialize(t);
+        TempImage file(image, "held");
+        AeroDromeOpt want_engine(0, 0, 0);
+        MappedBinaryEventSource want_src(file.path);
+        const RunResult want = run_checker_stream(want_engine, want_src);
+
+        HeldPipe pipe(image, "bin");
+        std::unique_ptr<std::istream> storage;
+        auto src = open_event_source(pipe.path, storage);
+        EXPECT_STREQ(src->source_kind(), "binary-buffered");
+        AeroDromeOpt engine(0, 0, 0);
+        const RunResult got = run_checker_stream(engine, *src);
+        EXPECT_FALSE(pipe.release())
+            << "the run waited for the writer to close the pipe";
+        EXPECT_EQ(got.status(), want.status());
+        EXPECT_EQ(got.events_processed, want.events_processed);
+        EXPECT_EQ(got.events_processed, t.size());
+    }
 }
 
 // --- Budget polls at block granularity ---------------------------------------

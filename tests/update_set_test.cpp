@@ -213,6 +213,55 @@ TEST(SkippedEndComplexity, OptAcquireAfterSkippedEndIsChecked)
     }
 }
 
+/** `idle` threads each make one unary read and then stay idle; thread 0
+ *  opens a transaction that stays open; thread 1 reads a variable
+ *  thread 0 wrote outside any transaction (so C_1 is impure) and then
+ *  runs `ends` one-read transactions, none of which anything is ordered
+ *  into. What thread 1's ends moved the counters by. */
+SkippedEndCost
+skipped_end_cost_with_idle_threads(uint32_t idle, uint32_t ends)
+{
+    const uint32_t threads = 2 + idle;
+    AeroDromeOpt engine(threads, threads + 2, 0);
+    size_t i = 0;
+    for (ThreadId t = 2; t < threads; ++t)
+        EXPECT_FALSE(engine.process({t, t + 2, Op::kRead}, i++));
+    EXPECT_FALSE(engine.process({0, 0, Op::kWrite}, i++));
+    EXPECT_FALSE(engine.process({1, 0, Op::kRead}, i++));
+    EXPECT_FALSE(engine.process({0, 0, Op::kBegin}, i++));
+    const AeroDromeStats before = engine.stats();
+    const uint64_t skipped_before = engine.opt_stats().gc_skipped_ends;
+    for (uint32_t k = 0; k < ends; ++k) {
+        EXPECT_FALSE(engine.process({1, 0, Op::kBegin}, i++));
+        EXPECT_FALSE(engine.process({1, 1, Op::kRead}, i++));
+        EXPECT_FALSE(engine.process({1, 0, Op::kEnd}, i++));
+    }
+    const AeroDromeStats& after = engine.stats();
+    return {engine.opt_stats().gc_skipped_ends - skipped_before,
+            after.comparisons - before.comparisons,
+            after.joins - before.joins,
+            after.end_swept_entries - before.end_swept_entries,
+            after.end_gate_skipped - before.end_gate_skipped};
+}
+
+TEST(SkippedEndComplexity, OptSkippedEndCostIsIndependentOfIdleThreads)
+{
+    // hasIncomingEdge walks the open transactions, not every thread row:
+    // with one transaction open, every counter a skipped end of an
+    // impure thread moves is the same beside 62 idle threads as beside
+    // none.
+    const uint32_t ends = 1000;
+    const SkippedEndCost few = skipped_end_cost_with_idle_threads(0, ends);
+    const SkippedEndCost many = skipped_end_cost_with_idle_threads(62, ends);
+    EXPECT_EQ(few.skipped, ends);
+    EXPECT_EQ(many.skipped, ends);
+    EXPECT_EQ(few.comparisons, many.comparisons);
+    EXPECT_EQ(few.joins, many.joins);
+    EXPECT_EQ(few.swept, many.swept);
+    EXPECT_EQ(few.gate_skipped, many.gate_skipped);
+    EXPECT_LE(many.swept, uint64_t{2} * ends);
+}
+
 // --- Fuzz parity: update sets on vs off, all three engines ---------------
 
 Trace

@@ -444,6 +444,124 @@ TEST(ClockBank, FuzzGrowthParity)
     }
 }
 
+// --- Page-backed growth ----------------------------------------------------
+
+/** Rows of stride 8 (dims 5-8) that fill the page-backed threshold. */
+constexpr size_t kMapRows8 = ClockBank::kMapBytes / (8 * sizeof(ClockValue));
+
+/** The value the growth tests write at (row, comp): never 0, so a row
+ *  that lost its contents shows. */
+ClockValue
+stamp(size_t row, size_t comp)
+{
+    return static_cast<ClockValue>(row * 31 + comp + 1);
+}
+
+/** Rows [0, rows) hold stamp() in comps [0, stamped), zero up to the
+ *  stride (new components and padding alike). */
+void
+expect_stamped(const ClockBank& bank, size_t rows, size_t stamped)
+{
+    for (size_t i = 0; i < rows; ++i) {
+        for (size_t d = 0; d < bank.stride(); ++d) {
+            const ClockValue want = d < stamped ? stamp(i, d) : 0;
+            ASSERT_EQ(bank.data()[i * bank.stride() + d], want)
+                << "row " << i << " comp " << d;
+        }
+    }
+}
+
+TEST(ClockBank, SmallBanksStayOnTheHeap)
+{
+    ClockBank bank(64, 8);
+    EXPECT_FALSE(bank.page_backed());
+    bank.ensure_rows(kMapRows8 - 1);
+    EXPECT_FALSE(bank.page_backed());
+}
+
+TEST(ClockBank, RowGrowthPastThePageThresholdKeepsRows)
+{
+    // Grow one row at a time, as the engines' inflation arena does: the
+    // bank crosses from the heap to a mapping and then doubles in place
+    // several times. Every fresh row must be bottom and every old row
+    // intact; the base stays line-aligned throughout.
+    const size_t dim = 5; // stride 8: 32 bytes a row
+    ClockBank bank(1, dim);
+    const size_t rows = 5 * kMapRows8 + 3;
+    bool saw_heap = false;
+    const ClockValue* base = bank.data();
+    for (size_t n = 1; n <= rows; ++n) {
+        bank.ensure_rows(n);
+        ASSERT_TRUE(bank[n - 1].is_bottom()) << "fresh row " << n - 1;
+        for (size_t d = 0; d < dim; ++d)
+            bank[n - 1].set(d, stamp(n - 1, d));
+        saw_heap |= !bank.page_backed();
+        if (bank.data() != base) {
+            base = bank.data();
+            ASSERT_EQ(reinterpret_cast<uintptr_t>(base) % 64, 0u) << n;
+        }
+    }
+    EXPECT_TRUE(saw_heap);
+    EXPECT_TRUE(bank.page_backed());
+    EXPECT_GE(bank.memory_bytes(),
+              rows * bank.stride() * sizeof(ClockValue));
+    expect_stamped(bank, rows, dim);
+}
+
+TEST(ClockBank, StrideChangeAfterPageBackedGrowthKeepsRows)
+{
+    const size_t rows = 2 * kMapRows8 + 7;
+    ClockBank bank(rows, 6);
+    ASSERT_TRUE(bank.page_backed());
+    for (size_t i = 0; i < rows; ++i) {
+        for (size_t d = 0; d < 6; ++d)
+            bank[i].set(d, stamp(i, d));
+    }
+    bank.ensure_rows(rows + kMapRows8); // in-place doubling first
+    for (size_t d : {9u, 17u, 40u}) {  // strides 16, 32, 64
+        bank.ensure_dim(d);
+        ASSERT_TRUE(bank.page_backed());
+        ASSERT_EQ(reinterpret_cast<uintptr_t>(bank.data()) % 64, 0u);
+        expect_stamped(bank, rows, 6);
+        for (size_t i = rows; i < bank.rows(); ++i)
+            ASSERT_TRUE(bank[i].is_bottom()) << "fresh row " << i;
+    }
+}
+
+TEST(ClockBank, MoveAndReleaseOnAMappedBank)
+{
+    const size_t rows = ClockBank::kMapBytes / (4 * sizeof(ClockValue));
+    ClockBank mapped(rows, 3);
+    ASSERT_TRUE(mapped.page_backed());
+    for (size_t i = 0; i < rows; ++i)
+        mapped[i].set(2, stamp(i, 2));
+
+    ClockBank moved(std::move(mapped)); // move-construct: takes the mapping
+    EXPECT_TRUE(moved.page_backed());
+    EXPECT_FALSE(mapped.page_backed());
+    EXPECT_EQ(mapped.rows(), 0u);
+    EXPECT_EQ(moved.rows(), rows);
+
+    ClockBank heap(4, 3);
+    heap[1].set(0, 7);
+    heap = std::move(moved); // releases the heap rows, takes the mapping
+    EXPECT_TRUE(heap.page_backed());
+    EXPECT_EQ(heap[rows - 1].get(2), stamp(rows - 1, 2));
+
+    ClockBank small(2, 3);
+    small[1].set(1, 9);
+    heap = std::move(small); // releases the mapping, takes heap rows
+    EXPECT_FALSE(heap.page_backed());
+    EXPECT_EQ(heap.rows(), 2u);
+    EXPECT_EQ(heap[1].get(1), 9u);
+
+    // A released bank grows again from nothing.
+    mapped.ensure_dim(3);
+    mapped.ensure_rows(rows);
+    EXPECT_TRUE(mapped.page_backed());
+    EXPECT_TRUE(mapped[rows - 1].is_bottom());
+}
+
 // --- FlatTable -----------------------------------------------------------
 
 TEST(FlatTable, GrowBothDimensionsKeepsContentAndFill)
