@@ -4,30 +4,15 @@ namespace aero {
 
 AeroDromeBasic::AeroDromeBasic(uint32_t num_threads, uint32_t num_vars,
                                uint32_t num_locks)
-    : txns_(num_threads)
 {
-    grow_dim(num_threads);
-    c_.ensure_rows(num_threads);
-    cb_.ensure_rows(num_threads);
-    c_pure_.assign(num_threads, 1);
-    tags_.ensure(num_threads);
-    cb_pure_.assign(num_threads, 1);
-    r_vars_.resize(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t)
-        c_[t].set(t, 1); // C_t := bot[1/t]
-    if (num_vars > 0)
-        ensure_var(num_vars - 1);
-    if (num_locks > 0)
-        ensure_lock(num_locks - 1);
+    add_threads(num_threads);
+    reserve(0, num_vars, num_locks);
 }
 
 void
 AeroDromeBasic::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
 {
-    // Under gc, rows are slots handed out densely by the slot map;
-    // pre-sizing by external tid range would defeat recycling.
-    if (threads > 0 && !gc_)
-        ensure_thread(threads - 1);
+    reserve_threads(threads);
     if (vars > 0)
         ensure_var(vars - 1);
     if (locks > 0)
@@ -35,30 +20,10 @@ AeroDromeBasic::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
 }
 
 void
-AeroDromeBasic::grow_dim(size_t n)
+AeroDromeBasic::grow_thread_rows(size_t n)
 {
-    c_.ensure_dim(n);
-    cb_.ensure_dim(n);
-    tbl_.ensure_dim(n);
-}
-
-void
-AeroDromeBasic::ensure_thread(ThreadId t)
-{
-    if (t >= c_.rows()) {
-        size_t old = c_.rows();
-        size_t n = t + 1;
-        grow_dim(n);
-        c_.ensure_rows(n);
-        cb_.ensure_rows(n);
-        c_pure_.resize(n, 1);
-        tags_.ensure(n);
-        cb_pure_.resize(n, 1);
-        r_vars_.resize(n);
-        for (size_t u = old; u < n; ++u)
-            c_[u].set(u, 1);
-        txns_.ensure(static_cast<uint32_t>(n));
-    }
+    cb_pure_.resize(n, 1);
+    r_vars_.resize(n);
 }
 
 void
@@ -105,22 +70,22 @@ AeroDromeBasic::reader_slot(VarId x, ThreadId t)
 }
 
 bool
-AeroDromeBasic::check_and_get_entry(size_t slot, ThreadId t, size_t index,
-                                    const char* reason)
+AeroDromeBasic::check_and_get_vec_entry(size_t slot, ThreadId t,
+                                        size_t index, const char* reason)
 {
     ++stats_.comparisons;
     if (txns_.active(t) &&
         tbl_.vector_leq_entry(cb_[t], slot, t, begin_pure_of(t)))
-        return report(index, rid(t), reason);
+        return fail(index, t, reason);
     ++stats_.joins;
-    tbl_.join_into(c_[t], slot, t, c_pure_[t]);
+    absorb_entry(t, slot);
     return false;
 }
 
 bool
-AeroDromeBasic::check_and_get_clock(ConstClockRef clk, ThreadId src,
-                                    bool src_pure, ThreadId t, size_t index,
-                                    const char* reason)
+AeroDromeBasic::check_and_get_vec_clock(ConstClockRef clk, ThreadId src,
+                                        bool src_pure, ThreadId t,
+                                        size_t index, const char* reason)
 {
     ++stats_.comparisons;
     if (txns_.active(t)) {
@@ -128,10 +93,10 @@ AeroDromeBasic::check_and_get_clock(ConstClockRef clk, ThreadId src,
         bool ordered = begin_pure_of(t) ? cb_[t].get(t) <= clk.get(t)
                                         : cb_[t].leq(clk);
         if (ordered)
-            return report(index, rid(t), reason);
+            return fail(index, t, reason);
     }
     ++stats_.joins;
-    join_qualified(c_[t], t, c_pure_[t], clk, src, src_pure);
+    absorb_clock(t, clk, src, src_pure);
     return false;
 }
 
@@ -154,9 +119,9 @@ AeroDromeBasic::handle_end(ThreadId t, size_t index)
         bool ordered = cbt_pure ? cbt.get(t) <= c_[u].get(t)
                                 : cbt.leq(c_[u]);
         if (ordered) {
-            if (check_and_get_clock(ct, t, ct_pure, u, index,
-                                    "active peer ordered into "
-                                    "completed transaction")) {
+            if (check_and_get_vec_clock(ct, t, ct_pure, u, index,
+                                        "active peer ordered into "
+                                        "completed transaction")) {
                 return true;
             }
         }
@@ -165,12 +130,8 @@ AeroDromeBasic::handle_end(ThreadId t, size_t index)
     // Fused propagation sweep: Algorithm 1 applies the same gate-and-join
     // to every L_l, W_x and R_{u,x}, and they all live in one adaptive
     // table, so the per-lock and per-variable loops collapse into one
-    // homogeneous pass. With update sets tracked, the pass visits only
-    // the entries enrolled since this transaction's begin — every entry
-    // whose gate could fire is among them — instead of the whole table.
-    // The window is sealed first so the sweep's own joins enroll into
-    // *other* threads' windows without growing the list being iterated.
-    auto sweep = [&](size_t i) {
+    // homogeneous pass over t's update window.
+    tbl_.drain_update_window(t, [&](size_t i) {
         ++stats_.comparisons;
         ++stats_.end_swept_entries;
         if (tbl_.vector_leq_entry(cbt, i, t, cbt_pure)) {
@@ -179,50 +140,25 @@ AeroDromeBasic::handle_end(ThreadId t, size_t index)
         } else {
             ++stats_.end_gate_skipped;
         }
-    };
-    if (!tbl_.drain_update_window(t, sweep)) {
-        const size_t n = tbl_.size();
-        for (size_t i = 0; i < n; ++i)
-            sweep(i);
-        tbl_.close_update_window(t);
-    }
+    });
     return false;
 }
 
 bool
 AeroDromeBasic::process(const Event& e, size_t index)
 {
-    ThreadId t = e.tid;
-    ThreadId target = e.target;
-    if (gc_) {
-        // Rows are recycled slots: translate the actor — and, for the two
-        // thread-target ops, the target — through the slot map. All other
-        // targets are variable/lock ids and pass through.
-        t = slot_of(e.tid);
-        if (e.op == Op::kFork || e.op == Op::kJoin)
-            target = slot_of(e.target);
-    } else {
-        ensure_thread(t);
-    }
-
+    const auto [t, target] = rows_of(e);
     switch (e.op) {
       case Op::kBegin:
-        if (txns_.on_begin(t)) {
-            c_[t].tick(t); // purity preserved: the own component grew
-            cb_[t].assign(c_[t]);
+        if (begin_txn(t))
             cb_pure_[t] = c_pure_[t];
-            // The tick minted cb_t(t) fresh: no table entry satisfies the
-            // end gate yet, so the window starts provably empty.
-            tbl_.open_update_window(t, cb_[t].get(t));
-        }
         return false;
 
       case Op::kEnd:
         if (txns_.on_end(t)) {
             if (handle_end(t, index))
                 return true;
-            if (gc_ &&
-                sweeper_.maybe_sweep(tbl_, c_, slots_.bindings(), txns_))
+            if (gc_after_end())
                 recycle_dead_orphans();
         }
         return false;
@@ -230,8 +166,9 @@ AeroDromeBasic::process(const Event& e, size_t index)
       case Op::kAcquire: {
         ensure_lock(target);
         if (last_rel_[target] != tags_[t]) {
-            return check_and_get_entry(lock_slot_[target], t, index,
-                                       "acquire saw conflicting release");
+            return check_and_get_vec_entry(
+                lock_slot_[target], t, index,
+                "acquire saw conflicting release");
         }
         return false;
       }
@@ -242,32 +179,23 @@ AeroDromeBasic::process(const Event& e, size_t index)
         last_rel_[target] = tags_[t];
         return false;
 
-      case Op::kFork: {
-        ensure_thread(target);
-        ++stats_.joins;
-        join_qualified(c_[target], target, c_pure_[target], c_[t], t,
-                       pure_of(t));
+      case Op::kFork:
+        fork_thread(t, target);
         return false;
-      }
 
-      case Op::kJoin: {
-        ensure_thread(target);
-        if (check_and_get_clock(c_[target], target, pure_of(target), t,
-                                index, "join saw child's events")) {
+      case Op::kJoin:
+        if (check_and_get_vec_clock(c_[target], target, pure_of(target), t,
+                                    index, "join saw child's events")) {
             return true;
         }
-        // The joined thread is dead: its clock was just absorbed, so its
-        // row can be retired for reissue.
-        if (gc_ && target != t)
-            retire_slot(target);
+        joined(t, target);
         return false;
-      }
 
       case Op::kRead: {
         ensure_var(target);
         if (last_w_[target] != tags_[t]) {
-            if (check_and_get_entry(w_slot(target), t, index,
-                                    "read saw conflicting write")) {
+            if (check_and_get_vec_entry(w_slot(target), t, index,
+                                        "read saw conflicting write")) {
                 return true;
             }
         }
@@ -279,8 +207,8 @@ AeroDromeBasic::process(const Event& e, size_t index)
       case Op::kWrite: {
         ensure_var(target);
         if (last_w_[target] != tags_[t]) {
-            if (check_and_get_entry(w_slot(target), t, index,
-                                    "write saw conflicting write")) {
+            if (check_and_get_vec_entry(w_slot(target), t, index,
+                                        "write saw conflicting write")) {
                 return true;
             }
         }
@@ -288,16 +216,16 @@ AeroDromeBasic::process(const Event& e, size_t index)
         for (ThreadId u = 0; u < readers.size(); ++u) {
             if (u == t || readers[u] == kNoSlot)
                 continue;
-            if (check_and_get_entry(readers[u], t, index,
-                                    "write saw conflicting read")) {
+            if (check_and_get_vec_entry(readers[u], t, index,
+                                        "write saw conflicting read")) {
                 return true;
             }
         }
         // Retired threads' R_{t,x} keep gating writes until proven dead;
         // the retiree can't be the writer, so no own-slot skip applies.
         for (uint32_t i : orphan_r_[target]) {
-            if (check_and_get_entry(i, t, index,
-                                    "write saw conflicting read")) {
+            if (check_and_get_vec_entry(i, t, index,
+                                        "write saw conflicting read")) {
                 return true;
             }
         }
@@ -310,13 +238,8 @@ AeroDromeBasic::process(const Event& e, size_t index)
 }
 
 void
-AeroDromeBasic::retire_slot(uint32_t s)
+AeroDromeBasic::retire_thread_row(uint32_t s)
 {
-    if (txns_.active(s))
-        return; // ill-formed join mid-transaction: leak the row, stay safe
-    // Expire the dead thread's last-writer and last-releaser facts: the
-    // reissued thread must not inherit its check-skipping rights.
-    tags_.retire(s);
     // Detach the dead thread's R_{s,x} entries so the reissued thread
     // starts with none. A still-live entry becomes a per-var orphan —
     // writers keep checking it (Algorithm 1 checks every reader of x)
@@ -332,16 +255,7 @@ AeroDromeBasic::retire_slot(uint32_t s)
         slot = kNoSlot;
     }
     r_vars_[s].clear();
-    // Continue the clock one past every value the dead thread minted, so
-    // reissued begin gates exceed every stale epoch still naming this row.
-    const ClockValue v = c_[s].get(s);
-    c_[s].clear();
-    c_[s].set(s, v + 1);
-    cb_[s].clear();
-    c_pure_[s] = 1;
     cb_pure_[s] = 1;
-    tbl_.close_update_window(s);
-    slots_.retire(s);
 }
 
 void
@@ -359,44 +273,19 @@ AeroDromeBasic::recycle_dead_orphans()
     }
 }
 
-StatList
-AeroDromeBasic::counters() const
-{
-    const AdaptiveClockStats& es = tbl_.stats();
-    return {
-        {"joins", stats_.joins},
-        {"comparisons", stats_.comparisons},
-        {"epoch_fast_ops", es.epoch_fast},
-        {"vector_ops", es.vector_ops},
-        {"inflations", es.inflations},
-        {"upd_enrolled", es.upd_enrolled},
-        {"end_swept_entries", stats_.end_swept_entries},
-        {"end_gate_skipped", stats_.end_gate_skipped},
-        {"gc_reclaimed", es.gc_reclaimed},
-        {"gc_rows_freed", es.gc_rows_freed},
-        {"gc_sweeps", sweeper_.sweeps()},
-        {"gc_walks_skipped", sweeper_.walks_skipped()},
-        {"gc_live_entries", sweeper_.live_entries()},
-        {"slots_retired", slots_.retired()},
-        {"slots_recycled", slots_.recycled()},
-    };
-}
-
 size_t
 AeroDromeBasic::memory_bytes() const
 {
-    size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
+    size_t n = AeroDromeCore::memory_bytes();
     n += (lock_slot_.capacity() + w_slot_.capacity()) * sizeof(uint32_t);
     for (const auto& slots : r_slot_)
         n += slots.capacity() * sizeof(uint32_t);
     for (const auto& orphans : orphan_r_)
         n += orphans.capacity() * sizeof(uint32_t);
-    n += c_pure_.capacity() + cb_pure_.capacity();
+    n += cb_pure_.capacity();
     for (const auto& vars : r_vars_)
         n += vars.capacity() * sizeof(VarId);
     n += (last_rel_.capacity() + last_w_.capacity()) * sizeof(uint64_t);
-    n += slots_.memory_bytes() + tags_.memory_bytes() +
-         sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

@@ -6,7 +6,6 @@ namespace aero {
 
 AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
                            uint32_t num_locks)
-    : txns_(num_threads)
 {
     add_threads(num_threads);
     reserve(0, num_vars, num_locks);
@@ -15,9 +14,7 @@ AeroDromeOpt::AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
 void
 AeroDromeOpt::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
 {
-    // With gc on the hint counts external tids; rows are recycled slots.
-    if (threads > 0 && !gc_)
-        ensure_thread(threads - 1);
+    reserve_threads(threads);
     // Variables and locks get their record and entries at first touch;
     // only the id maps are written here, the rest is capacity no page of
     // which is touched until a variable or lock claims it.
@@ -31,35 +28,18 @@ AeroDromeOpt::reserve(uint32_t threads, uint32_t vars, uint32_t locks)
 }
 
 void
-AeroDromeOpt::grow_dim(size_t n)
+AeroDromeOpt::grow_thread_rows(size_t n)
 {
-    c_.ensure_dim(n);
-    cb_.ensure_dim(n);
-    tbl_.ensure_dim(n);
-}
-
-void
-AeroDromeOpt::add_threads(size_t n)
-{
-    const size_t old = c_.rows();
-    grow_dim(n);
-    c_.ensure_rows(n);
-    cb_.ensure_rows(n);
-    c_pure_.resize(n, 1);
-    recv_.resize(n, 0);
-    tags_.ensure(n);
     parent_thread_.resize(n, kNoThread);
     parent_txn_seq_.resize(n, 0);
+    const size_t old = rel_owner_.size();
     rel_owner_.resize(n);
-    for (size_t u = old; u < n; ++u) {
-        c_[u].set(u, 1);
+    for (size_t u = old; u < n; ++u)
         rel_owner_[u] = next_rel_owner_++;
-    }
-    txns_.ensure(static_cast<uint32_t>(n));
 }
 
 uint32_t
-AeroDromeOpt::touch(std::vector<uint32_t>& idx, uint32_t id, bool lock)
+AeroDromeOpt::touch(std::vector<uint32_t>& idx, uint32_t id)
 {
     if (id >= idx.size())
         idx.resize(size_t{id} + 1, kUntouched);
@@ -67,7 +47,7 @@ AeroDromeOpt::touch(std::vector<uint32_t>& idx, uint32_t id, bool lock)
     tbl_.add_entry(); // W_x or L_l, at base_of(r)
     tbl_.add_entry(); // R_x
     tbl_.add_entry(); // hR_x
-    recs_.push_back({SlotTags::kNone, kNoSpill, 0, 0, lock, {}});
+    recs_.push_back({SlotTags::kNone, kNoSpill, 0, 0, {}});
     idx[id] = r;
     return r;
 }
@@ -97,26 +77,6 @@ AeroDromeOpt::drop_spilled_reader(Record& v, ThreadId t)
         return false;
     sr.erase(it);
     return true;
-}
-
-bool
-AeroDromeOpt::fail(size_t index, ThreadId t, const char* reason)
-{
-    return report(index, rid(t), reason);
-}
-
-bool
-AeroDromeOpt::check_and_get_clock(ConstClockRef clk, ThreadId src,
-                                  bool src_pure, ThreadId t, size_t index,
-                                  const char* reason)
-{
-    ++stats_.comparisons;
-    if (txns_.active(t) && begin_before(t, clk.get(t)))
-        return fail(index, t, reason);
-    ++stats_.joins;
-    if (join_qualified(c_[t], t, c_pure_[t], clk, src, src_pure))
-        recv_[t] = 1;
-    return false;
 }
 
 bool
@@ -192,41 +152,10 @@ AeroDromeOpt::handle_end(ThreadId t, size_t index)
         return false;
     }
     ++opt_stats_.propagated_ends;
-    ConstClockRef ct = c_[t];
-    const ClockValue cbt_t = cb_[t].get(t);
-    const bool ct_pure = pure_of(t);
-    for (ThreadId u = 0; u < c_.rows(); ++u) {
-        if (u == t)
-            continue;
-        ++stats_.comparisons;
-        if (cbt_t <= c_[u].get(t)) {
-            if (check_and_get_clock(ct, t, ct_pure, u, index,
-                                    "active peer ordered into "
-                                    "completed transaction")) {
-                return true;
-            }
-        }
-    }
+    if (propagate_to_peers(t, index))
+        return true;
     sweep_update_window(t);
     return false;
-}
-
-template <class Visit>
-void
-AeroDromeOpt::drain_update_window(ThreadId t, Visit visit)
-{
-    if (tbl_.drain_update_window(t, visit))
-        return;
-    const uint32_t n = static_cast<uint32_t>(recs_.size());
-    for (uint32_t r = 0; r < n; ++r) {
-        const uint32_t i = static_cast<uint32_t>(base_of(r));
-        visit(i);
-        if (!recs_[r].lock) {
-            visit(i + 1);
-            visit(i + 2);
-        }
-    }
-    tbl_.close_update_window(t);
 }
 
 void
@@ -246,7 +175,7 @@ AeroDromeOpt::sweep_update_window(ThreadId t)
     // The window holds every entry a mutation since t's begin could have
     // made gate-fireable, plus the W_x / R_x entries of t's own lazy
     // accesses, which mutate nothing until flushed.
-    drain_update_window(t, [&](uint32_t i) {
+    tbl_.drain_update_window(t, [&](uint32_t i) {
         ++stats_.end_swept_entries;
         Record& v = recs_[i / 3];
         switch (i % 3) {
@@ -284,7 +213,7 @@ AeroDromeOpt::settle_own_stale(ThreadId t)
     // this transaction's accesses order nothing after it.
     const uint64_t tag = tags_[t];
     uint64_t swept = 0, hr = 0; // locals: the record stores alias stats_
-    drain_update_window(t, [&](uint32_t i) {
+    tbl_.drain_update_window(t, [&](uint32_t i) {
         ++swept;
         Record& v = recs_[i / 3];
         switch (i % 3) {
@@ -309,34 +238,17 @@ AeroDromeOpt::settle_own_stale(ThreadId t)
 bool
 AeroDromeOpt::process(const Event& e, size_t index)
 {
-    ThreadId t = e.tid;
-    ThreadId target = e.target;
-    if (gc_) {
-        // Rows are recycled slots: translate the actor and, for the two
-        // thread-target ops, the target through the slot map.
-        t = slot_of(e.tid);
-        if (e.op == Op::kFork || e.op == Op::kJoin)
-            target = slot_of(e.target);
-    } else {
-        ensure_thread(t);
-    }
-
+    const auto [t, target] = rows_of(e);
     switch (e.op) {
       case Op::kBegin:
-        if (txns_.on_begin(t)) {
-            c_[t].tick(t); // purity preserved
-            cb_[t].assign(c_[t]);
-            recv_[t] = 0;
-            tbl_.open_update_window(t, cb_[t].get(t));
-        }
+        begin_txn(t);
         return false;
 
       case Op::kEnd:
         if (txns_.on_end(t)) {
             if (handle_end(t, index))
                 return true;
-            if (gc_)
-                sweeper_.maybe_sweep(tbl_, c_, slots_.bindings(), txns_);
+            gc_after_end();
         }
         return false;
 
@@ -357,25 +269,18 @@ AeroDromeOpt::process(const Event& e, size_t index)
       }
 
       case Op::kFork:
-        ensure_thread(target);
-        ++stats_.joins;
-        if (join_qualified(c_[target], target, c_pure_[target], c_[t], t,
-                           pure_of(t)))
-            recv_[target] = 1;
+        fork_thread(t, target);
         parent_thread_[target] = t;
         parent_txn_seq_[target] = txns_.active(t) ? txns_.seq(t) : 0;
         return false;
 
-      case Op::kJoin: {
-        ensure_thread(target);
+      case Op::kJoin:
         if (check_and_get_clock(c_[target], target, pure_of(target), t,
                                 index, "join saw child's events")) {
             return true;
         }
-        if (gc_ && target != t)
-            retire_slot(target);
+        joined(t, target);
         return false;
-      }
 
       case Op::kRead: {
         const uint32_t r = var_index(target);
@@ -454,68 +359,40 @@ AeroDromeOpt::process(const Event& e, size_t index)
 }
 
 void
-AeroDromeOpt::retire_slot(uint32_t s)
+AeroDromeOpt::retire_thread_row(uint32_t s)
 {
-    if (txns_.active(s))
-        return; // ill-formed join mid-transaction: leak the row, stay safe
     // No lazy proxy stands in for c_[s] any more: s's stale accesses were
     // all made inside transactions, and each end settled its own (both
-    // sweep modes), so the clock reset below cannot orphan one. The dead
-    // thread's last-writer and last-releaser facts expire with its
-    // incarnation.
-    tags_.retire(s);
+    // sweep modes), so the clock reset cannot orphan one. The dead
+    // thread's last-releaser facts expire with its incarnation.
     rel_owner_[s] = next_rel_owner_++;
     parent_thread_[s] = kNoThread;
     parent_txn_seq_[s] = 0;
-    const ClockValue v = c_[s].get(s);
-    c_[s].clear();
-    c_[s].set(s, v + 1);
-    cb_[s].clear();
-    c_pure_[s] = 1;
-    tbl_.close_update_window(s);
-    slots_.retire(s);
 }
 
 StatList
 AeroDromeOpt::counters() const
 {
-    const AdaptiveClockStats& es = tbl_.stats();
-    return {
-        {"joins", stats_.joins},
-        {"comparisons", stats_.comparisons},
+    return counters_with({
         {"lazy_reads", opt_stats_.lazy_reads},
         {"lazy_writes", opt_stats_.lazy_writes},
         {"propagated_ends", opt_stats_.propagated_ends},
         {"gc_skipped_ends", opt_stats_.gc_skipped_ends},
-        {"epoch_fast_ops", es.epoch_fast},
-        {"vector_ops", es.vector_ops},
-        {"inflations", es.inflations},
-        {"gc_reclaimed", es.gc_reclaimed},
-        {"gc_rows_freed", es.gc_rows_freed},
-        {"gc_sweeps", sweeper_.sweeps()},
-        {"gc_walks_skipped", sweeper_.walks_skipped()},
-        {"gc_live_entries", sweeper_.live_entries()},
-        {"slots_retired", slots_.retired()},
-        {"slots_recycled", slots_.recycled()},
-    };
+    });
 }
 
 size_t
 AeroDromeOpt::memory_bytes() const
 {
-    size_t n = c_.memory_bytes() + cb_.memory_bytes() + tbl_.memory_bytes();
+    size_t n = AeroDromeCore::memory_bytes();
     n += (var_idx_.capacity() + lock_idx_.capacity()) * sizeof(uint32_t);
     n += recs_.capacity() * sizeof(Record);
     n += spill_.capacity() * sizeof(spill_[0]);
     for (const auto& sr : spill_)
         n += sr.capacity() * sizeof(ThreadId);
-    n += c_pure_.capacity() + recv_.capacity();
     n += parent_thread_.capacity() * sizeof(ThreadId);
-    n += (rel_owner_.capacity() +
-          parent_txn_seq_.capacity()) *
+    n += (rel_owner_.capacity() + parent_txn_seq_.capacity()) *
          sizeof(uint64_t);
-    n += slots_.memory_bytes() + tags_.memory_bytes() +
-         sweeper_.memory_bytes() + txns_.memory_bytes();
     return n;
 }
 

@@ -18,14 +18,12 @@
  *    handled eagerly — their "transaction" completes immediately, so the
  *    live-clock proxy would be unsound for them.
  *
- * 2. Per-thread update sets. Algorithm 2 scans every variable at each end
- *    event. Here an end event sweeps only the entries enrolled in the
- *    ending thread's update window, the same table mechanism basic and
- *    readopt use (vc/adaptive_clock.hpp): a table mutation enrolls its
- *    entry into the window of every open transaction its source clock is
- *    ordered after, and a lazy access, which defers that mutation,
- *    enrolls its pending W_x or R_x entry into the accessing thread's own
- *    window, so an access costs O(1) whatever the thread count.
+ * 2. Per-thread update sets. An end event sweeps only the entries
+ *    enrolled in the ending thread's update window (aerodrome_core.hpp);
+ *    a lazy access, which defers the table mutation that would enroll
+ *    its entry, enrolls its pending W_x or R_x entry into the accessing
+ *    thread's own window, so an access costs O(1) whatever the thread
+ *    count.
  *
  * 3. Garbage collection ("hasIncomingEdge"). A completed transaction that
  *    received no orderings from other threads since its begin (its clock is
@@ -35,16 +33,8 @@
  *    propagation phase and only settles its own lazy accesses. The test
  *    costs O(active transactions), whatever the thread count.
  *
- * All ordering tests use the one-component ("lightweight timestamp") form;
- * see aerodrome_readopt.hpp for why this is equivalent.
- *
- * Storage is epoch-adaptive (vc/adaptive_clock.hpp): L_l, W_x, R_x and
- * hR_x share one AdaptiveClockTable (a variable's W/R/hR are adjacent
- * entries), giving O(1) conflict checks and updates while the touched
- * state stays epoch-shaped, inflating into the shared arena on first
- * contention. Purity bits on C_t drive the fast paths.
- *
- * Per-variable and per-lock state is stored in first-touch order: a
+ * L_l, W_x, R_x and hR_x are entries of the core's one table, and
+ * per-variable and per-lock state is stored in first-touch order: a
  * variable's or lock's first access gives it the next dense record index
  * r and one 32-byte Record, and record r owns table entries 3r, 3r+1 and
  * 3r+2 (a variable's W_x / R_x / hR_x; a lock's L_l at 3r, the other two
@@ -60,15 +50,9 @@
 #include <iterator>
 #include <vector>
 
-#include "aerodrome/aerodrome_basic.hpp" // for AeroDromeStats
-#include "analysis/checker.hpp"
-#include "analysis/thread_slots.hpp"
-#include "analysis/txn_tracker.hpp"
+#include "aerodrome/aerodrome_core.hpp"
 #include "support/inline.hpp"
 #include "trace/trace.hpp"
-#include "vc/adaptive_clock.hpp"
-#include "vc/clock_bank.hpp"
-#include "vc/gc.hpp"
 
 namespace aero {
 
@@ -85,7 +69,7 @@ struct AeroDromeOptStats {
 };
 
 /** AeroDrome, Algorithm 3 (lazy updates + update sets + GC). */
-class AeroDromeOpt : public CheckerBase {
+class AeroDromeOpt : public AeroDromeCore {
 public:
     AeroDromeOpt(uint32_t num_threads, uint32_t num_vars,
                  uint32_t num_locks);
@@ -96,112 +80,15 @@ public:
 
     void reserve(uint32_t threads, uint32_t vars, uint32_t locks) override;
 
-    const AeroDromeStats& stats() const { return stats_; }
     const AeroDromeOptStats& opt_stats() const { return opt_stats_; }
-
-    /** Epoch-adaptive storage statistics (hits, inflations). */
-    const AdaptiveClockStats& epoch_stats() const { return tbl_.stats(); }
-
-    /** Toggle the epoch representation and its purity fast paths; call
-     *  before the first event. Off reproduces the full-vector baseline. */
-    void
-    set_epochs(bool on)
-    {
-        epochs_ = on;
-        tbl_.set_epochs_enabled(on);
-    }
-
-    /** Toggle end-event update windows; call before the first event.
-     *  Off is the tests' full-table sweep reference path. */
-    void set_update_sets(bool on) { tbl_.set_update_sets_enabled(on); }
-
-    /** Reclamation (clock-entry GC + thread-slot recycling) is always
-     *  on; set_gc(false) before the first event is the tests' reference
-     *  path without it. */
-    void set_gc(bool on) override { gc_ = on; }
-    bool gc_enabled() const { return gc_; }
-
-    /** Test hook: with gc on, sweep every n outermost ends (0 restores
-     *  the arena-growth trigger). */
-    void set_gc_sweep_every(uint32_t n) { sweeper_.set_every(n); }
-
-    uint64_t gc_sweeps() const { return sweeper_.sweeps(); }
-    const ThreadSlotMap& thread_slots() const { return slots_; }
 
     StatList counters() const override;
 
     size_t memory_bytes() const override;
 
 private:
-    /** Purity of C_u as consumed by fast paths (gated by the toggle). */
-    bool
-    pure_of(ThreadId u) const
-    {
-        return epochs_ && c_pure_[u] != 0;
-    }
-
-    /** External tid a violation at row t is charged to. */
-    ThreadId
-    rid(ThreadId t) const
-    {
-        if (!gc_)
-            return t;
-        ThreadId ext = slots_.ext_of(t);
-        return ext == kNoThread ? t : ext;
-    }
-
-    /** Row for external tid `ext` under gc (allocating reuse-first). */
-    AERO_ALWAYS_INLINE uint32_t
-    slot_of(ThreadId ext)
-    {
-        bool fresh = false;
-        uint32_t s = slots_.resolve(ext, fresh);
-        ensure_thread(s);
-        return s;
-    }
-
-    void retire_slot(uint32_t s);
-
-    /** checkAndGet where both the check and the join use table entry
-     *  `slot` (locks, W_x). */
-    AERO_ALWAYS_INLINE bool
-    check_and_get_entry(size_t slot, ThreadId t, size_t index,
-                        const char* reason)
-    {
-        return check_and_get_entry2(slot, slot, t, index, reason);
-    }
-
-    /** checkAndGet checking `check_slot` but joining `join_slot` (the
-     *  hR_x / R_x pair at writes). */
-    AERO_ALWAYS_INLINE bool
-    check_and_get_entry2(size_t check_slot, size_t join_slot, ThreadId t,
-                         size_t index, const char* reason)
-    {
-        ++stats_.comparisons;
-        // Bottom passes every check: an active t's begin component is
-        // at least 1.
-        if (!tbl_.is_bottom_epoch(check_slot) && txns_.active(t) &&
-            begin_before(t, tbl_.get(check_slot, t)))
-            return fail(index, t, reason);
-        ++stats_.joins;
-        if (tbl_.join_into(c_[t], join_slot, t, c_pure_[t]))
-            recv_[t] = 1;
-        return false;
-    }
-
-    /** Report a violation charged to row t (out of line: the cold end of
-     *  every inlined check). */
-    bool fail(size_t index, ThreadId t, const char* reason);
-
-    /** checkAndGet against the clock of thread `src` (pure iff src_pure). */
-    bool check_and_get_clock(ConstClockRef clk, ThreadId src, bool src_pure,
-                             ThreadId t, size_t index, const char* reason);
-
-    bool
-    begin_before(ThreadId t, ClockValue comp) const
-    {
-        return cb_[t].get(t) <= comp;
-    }
+    void grow_thread_rows(size_t n) override;
+    void retire_thread_row(uint32_t s) override;
 
     /** Algorithm 3's hasIncomingEdge(t), evaluated at t's end event. */
     bool has_incoming_edge(ThreadId t) const;
@@ -210,8 +97,9 @@ private:
      *  table entries 3r (W_x or L_l), 3r+1 (R_x) and 3r+2 (hR_x). A lock
      *  record uses only `owner`: its stale_write stays 0 and its reader
      *  set empty, so an end sweep treats L_l exactly like a W_x with no
-     *  pending write. Trivially copyable, so the record array relocates
-     *  with a plain copy. */
+     *  pending write (and its never-written entries 3r+1 and 3r+2 as a
+     *  bottom R_x / hR_x). Trivially copyable, so the record array
+     *  relocates with a plain copy. */
     struct Record {
         /** Var: last writer of x, as an owner word of tags_. Lock: last
          *  releaser of l, as that thread's rel_owner_ word then; an
@@ -228,8 +116,6 @@ private:
         uint8_t stale_write;
         /** Live prefix of `readers` while spill == kNoSpill. */
         uint8_t n_readers;
-        /** 1 iff this is a lock's record (entries 3r+1, 3r+2 unused). */
-        uint8_t lock;
         /** staleReaders_x: threads whose last read of x is not yet in
          *  R_x, in insertion order. */
         ThreadId readers[3];
@@ -245,16 +131,16 @@ private:
     {
         if (x < var_idx_.size() && var_idx_[x] != kUntouched)
             return var_idx_[x];
-        return touch(var_idx_, x, false);
+        return touch(var_idx_, x);
     }
     uint32_t
     lock_index(LockId l)
     {
         if (l < lock_idx_.size() && lock_idx_[l] != kUntouched)
             return lock_idx_[l];
-        return touch(lock_idx_, l, true);
+        return touch(lock_idx_, l);
     }
-    uint32_t touch(std::vector<uint32_t>& idx, uint32_t id, bool lock);
+    uint32_t touch(std::vector<uint32_t>& idx, uint32_t id);
 
     /** Record r's first table entry (W_x or L_l). */
     static size_t base_of(uint32_t r) { return size_t{3} * r; }
@@ -329,23 +215,7 @@ private:
         v.n_readers = 0;
     }
 
-    AERO_ALWAYS_INLINE void
-    ensure_thread(ThreadId t)
-    {
-        if (t >= c_.rows())
-            add_threads(size_t{t} + 1);
-    }
-    /** Grow every per-thread structure to n rows. */
-    void add_threads(size_t n);
-    void grow_dim(size_t n);
-
     bool handle_end(ThreadId t, size_t index);
-
-    /** Visit every entry of t's update window once (every used entry of
-     *  the table when t's window is untracked), then close the window.
-     *  The window is sealed first, so joins made by `visit` enroll only
-     *  into other threads' windows. */
-    template <class Visit> void drain_update_window(ThreadId t, Visit visit);
 
     /** Propagating end: settle t's own stale accesses and join C_t into
      *  every window entry whose gate fires. */
@@ -355,30 +225,14 @@ private:
      *  no join. */
     void settle_own_stale(ThreadId t);
 
-    TxnTracker txns_;
-
-    ClockBank c_;  // one row per thread
-    ClockBank cb_; // one row per thread
-
-    /** L_l, W_x, R_x, hR_x — one adaptive table, three entries per
-     *  record (see Record), appended at the record's first touch. */
-    AdaptiveClockTable tbl_;
-
     /** VarId / LockId -> record index (kUntouched before first touch). */
     std::vector<uint32_t> var_idx_;
     std::vector<uint32_t> lock_idx_;
-    /** One record per touched variable or lock, in first-touch order. */
+    /** One record per touched variable or lock, in first-touch order;
+     *  its three table entries are appended at the first touch. */
     std::vector<Record> recs_;
     /** Stale-reader sets that outgrew their record's inline slots. */
     std::vector<std::vector<ThreadId>> spill_;
-
-    /** c_pure_[t] != 0 iff C_t == bot[v/t]; sound but conservative. */
-    std::vector<uint8_t> c_pure_;
-    /** recv_[t] == 0 only if no component of C_t other than t grew since
-     *  t's last outermost begin; sound but conservative (a vector join
-     *  sets it whatever it changed). */
-    std::vector<uint8_t> recv_;
-    bool epochs_ = true;
 
     /** Release owner word per row, unique among all words ever issued:
      *  reissued when the row's end skips propagation and when the row is
@@ -391,13 +245,6 @@ private:
     std::vector<ThreadId> parent_thread_;
     std::vector<uint64_t> parent_txn_seq_; // 0 = fork outside a transaction
 
-    /** Dead-state reclamation (src/vc/README.md, "Reclamation"). */
-    bool gc_ = true;
-    ThreadSlotMap slots_;
-    SlotTags tags_;
-    GcSweeper sweeper_;
-
-    AeroDromeStats stats_;
     AeroDromeOptStats opt_stats_;
 };
 

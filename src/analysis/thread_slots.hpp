@@ -16,8 +16,9 @@
  * processed join events, so the map is a pure function of the event
  * prefix.
  *
- * The engines own the clock-side safety work (continuation values, eager
- * scrubbing of cached per-slot facts) — this class is pure bookkeeping.
+ * AeroDromeCore owns the clock-side safety work (a retired row's clock
+ * continues one past every value it minted; its same-owner facts
+ * expire) — this class is pure bookkeeping.
  */
 
 #include <cstdint>
@@ -31,26 +32,19 @@ namespace aero {
 /** Maps external thread ids to recycled slot indices. */
 class ThreadSlotMap {
 public:
-    /**
-     * Slot for external tid `ext`, allocating one (reuse-first, LIFO) on
-     * first sight. `fresh` is set iff this call bound the tid — the
-     * caller must then initialize / continue the slot's clock state.
-     */
+    /** Slot for external tid `ext`, allocating one (reuse-first, LIFO)
+     *  on first sight. */
     uint32_t
-    resolve(ThreadId ext, bool& fresh)
+    resolve(ThreadId ext)
     {
         Cached& hit = cache_[ext & (kCacheSize - 1)];
-        if (hit.ext == ext) {
-            fresh = false;
+        if (hit.ext == ext)
             return hit.slot;
-        }
         auto it = slot_of_.find(ext);
         if (it != slot_of_.end()) {
-            fresh = false;
             hit = {ext, it->second};
             return it->second;
         }
-        fresh = true;
         uint32_t s;
         if (!free_.empty()) {
             s = free_.back();
@@ -64,17 +58,6 @@ public:
         slot_of_.emplace(ext, s);
         hit = {ext, s};
         return s;
-    }
-
-    /** Slot currently bound to `ext`, or kNoThread. Does not allocate. */
-    uint32_t
-    lookup(ThreadId ext) const
-    {
-        const Cached& hit = cache_[ext & (kCacheSize - 1)];
-        if (hit.ext == ext)
-            return hit.slot;
-        auto it = slot_of_.find(ext);
-        return it == slot_of_.end() ? kNoThread : it->second;
     }
 
     /** Retire `slot`: unbind its external tid and make it reissuable.

@@ -207,19 +207,21 @@ public:
     }
 
     /**
-     * t's end sweep over its window: seal it, call visit(i) once per
-     * enrolled entry (clearing the entry's membership bit on the way),
-     * and close it. Returns false, visiting nothing, when the window is
-     * untracked; the caller then sweeps the whole table and closes the
-     * window itself.
+     * t's end sweep: seal t's window (so joins made by `visit` enroll
+     * only into other threads' windows), call visit(i) once per enrolled
+     * entry — every entry of the table when the window is untracked —
+     * and close it.
      */
     template <class Visit>
-    bool
+    void
     drain_update_window(ThreadId t, Visit&& visit)
     {
         seal_update_window(t);
-        if (!update_window_tracked(t))
-            return false;
+        if (!update_window_tracked(t)) { // sealed and empty already
+            for (uint32_t i = 0; i < size(); ++i)
+                visit(i);
+            return;
+        }
         UpdWindow& w = upd_[t];
         for (uint32_t i : w.list) {
             w.member[i >> 6] = 0;
@@ -227,7 +229,6 @@ public:
         }
         w.list.clear();
         upd_tracked_[t] = 0;
-        return true;
     }
 
     /** Drop t's window entirely (after its end sweep, or when t's slot
@@ -256,8 +257,7 @@ public:
             enroll_into(t, i);
     }
 
-    /** True iff t's end sweep may visit only update_entries(t); false
-     *  demands the full-table sweep (tracking off, untracked window). */
+    /** True iff t's end sweep visits only update_entries(t). */
     bool
     update_window_tracked(ThreadId t) const
     {

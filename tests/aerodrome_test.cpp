@@ -8,11 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "aerodrome/aerodrome_basic.hpp"
 #include "aerodrome/aerodrome_opt.hpp"
 #include "aerodrome/aerodrome_readopt.hpp"
 #include "analysis/runner.hpp"
 #include "trace/builder.hpp"
+
+#ifndef AERO_SOURCE_DIR
+#define AERO_SOURCE_DIR "."
+#endif
 
 namespace aero {
 namespace {
@@ -404,6 +413,63 @@ TEST(AeroDromeStats, ComparisonsAndJoinsCounted)
     run_checker(basic, t);
     EXPECT_GT(basic.stats().comparisons, 0u);
     EXPECT_GT(basic.stats().joins, 0u);
+}
+
+/** The <name>s of the `aerodrome.counter.<name>` metrics BENCHMARK.json
+ *  declares. */
+std::vector<std::string>
+benchmark_counter_names()
+{
+    std::ifstream in(std::string(AERO_SOURCE_DIR) + "/BENCHMARK.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string json = text.str();
+    const std::string key = "\"aerodrome.counter.";
+    std::vector<std::string> names;
+    for (size_t p = json.find(key); p != std::string::npos;
+         p = json.find(key, p)) {
+        p += key.size();
+        names.push_back(json.substr(p, json.find('"', p) - p));
+    }
+    return names;
+}
+
+bool
+reports(const StatList& counters, const std::string& name)
+{
+    for (const auto& [k, v] : counters) {
+        if (k == name)
+            return true;
+    }
+    return false;
+}
+
+TEST(AeroDromeStats, CounterNamesReadByToolsAreReported)
+{
+    // perfbench prints the default engine's counters as
+    // aerodrome.counter.<name>, and `aerocheck --stats` and perfbench
+    // read the reclamation and epoch counters by name: an engine that
+    // drops or renames one must fail here, not silently lose a metric.
+    AeroDromeBasic basic(0, 0, 0);
+    AeroDromeReadOpt readopt(0, 0, 0);
+    AeroDromeOpt opt(0, 0, 0);
+    const std::vector<std::string> declared = benchmark_counter_names();
+    ASSERT_FALSE(declared.empty()) << "BENCHMARK.json not read";
+    for (const std::string& name : declared)
+        EXPECT_TRUE(reports(opt.counters(), name)) << name;
+    const char* shared[] = {
+        "joins",           "comparisons",     "epoch_fast_ops",
+        "vector_ops",      "inflations",      "upd_enrolled",
+        "end_swept_entries", "end_gate_skipped", "gc_reclaimed",
+        "gc_rows_freed",   "gc_sweeps",       "gc_walks_skipped",
+        "gc_live_entries", "slots_retired",   "slots_recycled",
+    };
+    const AtomicityChecker* engines[] = {&basic, &readopt, &opt};
+    for (const AtomicityChecker* e : engines) {
+        for (const char* name : shared)
+            EXPECT_TRUE(reports(e->counters(), name))
+                << e->name() << " " << name;
+    }
 }
 
 // --- GC transit-ancestry regression --------------------------------------------
